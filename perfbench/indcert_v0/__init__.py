@@ -1,0 +1,60 @@
+"""indcert: certificate-checked reductions of independence complexes of
+grid-like graphs, with independent Euler-characteristic and Betti oracles."""
+
+from .graphs import (
+    FamilySpec,
+    Graph,
+    GraphError,
+    cylinder,
+    four_row_minus_corners,
+    four_row_with_chord,
+    generate_family,
+    grid,
+    hex_cylinder,
+    make_graph,
+    moebius,
+    moebius_hex_strip,
+    same_graph,
+)
+from .euler import (
+    DEFAULT_FACE_BUDGET,
+    FaceBudgetExceeded,
+    chi_four_row_grid,
+    chi_reduced,
+    edge_deletion_identity,
+)
+from .complexes import (
+    SimplicialComplex,
+    collapse_oracle,
+    complexes_equal,
+    f_vector,
+    independence_complex,
+    join,
+    sphere,
+)
+from .homology import BettiProfile, betti_of_shape, reduced_betti
+from .moves import (
+    Certificate,
+    OpStep,
+    PreconditionError,
+    ReplayReport,
+    apply_step,
+    check_step,
+    replay,
+)
+from .certificates import (
+    MarkedPatch,
+    builtin_certificate,
+    make_replacement,
+)
+from .verify import (
+    SuiteConfig,
+    WedgeShape,
+    expected_shape,
+    run_suite,
+    shape_suspend,
+    verify_appendix,
+    verify_case,
+)
+
+__version__ = "0.1.0"

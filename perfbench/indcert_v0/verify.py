@@ -1,0 +1,626 @@
+"""Expected homotopy shapes for the grid families and the end-to-end suites.
+
+A shape is either a wedge of m copies of the d-sphere or a point; families
+are verified by comparing the exact reduced Euler characteristic and, budget
+permitting, reduced Betti profiles over the configured primes against the
+shape's predictions. "point" is verified through vanishing invariants only;
+contractibility itself is not certified.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import dataclass, field, replace
+
+from . import certificates, complexes, euler, homology, moves
+from .graphs import (
+    Graph,
+    GraphError,
+    cylinder,
+    four_row_minus_corners,
+    grid,
+    hex_cylinder,
+    make_graph,
+    moebius,
+    same_graph,
+)
+
+VERIFY_FAMILIES = ("C1", "C2", "C3", "M2", "M3", "CH1")
+
+
+@dataclass(frozen=True)
+class WedgeShape:
+    kind: str                  # "wedge" | "point"
+    copies: int = 0
+    dim: int = 0
+
+    def __post_init__(self):
+        if self.kind == "point":
+            return
+        if self.kind != "wedge":
+            raise GraphError(f"unknown shape kind {self.kind!r}")
+        if self.copies < 1 or self.dim < -1:
+            raise GraphError("malformed wedge shape")
+        if self.dim == -1 and self.copies != 1:
+            raise GraphError("only a single copy of the (-1)-sphere is meaningful")
+
+    def chi_reduced(self) -> int:
+        if self.kind == "point":
+            return 0
+        return self.copies if self.dim % 2 == 0 else -self.copies
+
+    def describe(self) -> str:
+        if self.kind == "point":
+            return "point"
+        if self.copies == 1:
+            return f"S^{self.dim}"
+        return f"wedge({self.copies}, S^{self.dim})"
+
+
+def point() -> WedgeShape:
+    return WedgeShape("point")
+
+
+def wedge(copies: int, dim: int) -> WedgeShape:
+    return WedgeShape("wedge", copies, dim)
+
+
+def shape_suspend(s: WedgeShape, k: int = 1) -> WedgeShape:
+    if k < 0:
+        raise GraphError("suspension count must be >= 0")
+    if s.kind == "point":
+        return s
+    return wedge(s.copies, s.dim + k)
+
+
+_SHAPE_TABLE: dict[str, tuple[int, tuple[tuple[int, int, int], ...]]] = {
+    # family: (modulus, per-residue (copies, dim multiplier on k, dim offset))
+    "C1": (3, ((2, 1, -1), (1, 1, -1), (1, 1, 0))),
+    "C2": (4, ((3, 2, -1), (1, 2, -1), (1, 2, 0), (1, 2, 1))),
+    "C3": (8, ((5, 6, -1), (1, 6, -1), (1, 6, 1), (1, 6, 1),
+               (3, 6, 2), (1, 6, 3), (1, 6, 3), (1, 6, 5))),
+    "M2": (4, ((1, 2, -1), (1, 2, 0), (3, 2, 0), (1, 2, 0))),
+    "M3": (8, ((3, 6, -1), (1, 6, 0), (1, 6, 0), (1, 6, 2),
+               (5, 6, 2), (1, 6, 2), (1, 6, 4), (1, 6, 4))),
+}
+
+
+def expected_shape(family: str, n: int) -> WedgeShape:
+    """The declared homotopy shape for the family's complex at width n."""
+    if n < 1:
+        raise GraphError("need n >= 1")
+    if family == "CH1":
+        if n % 2 == 1:
+            return point()
+        return wedge(2, n - 1)
+    if family not in _SHAPE_TABLE:
+        raise GraphError(f"unknown verify family {family!r}")
+    modulus, rows = _SHAPE_TABLE[family]
+    k, i = divmod(n, modulus)
+    copies, mult, offset = rows[i]
+    return wedge(copies, mult * k + offset)
+
+
+def family_graph(family: str, n: int) -> Graph:
+    if family == "C1":
+        return cylinder(1, n)
+    if family == "C2":
+        return cylinder(2, n)
+    if family == "C3":
+        return cylinder(3, n)
+    if family == "M2":
+        return moebius(2, n)
+    if family == "M3":
+        return moebius(3, n)
+    if family == "CH1":
+        return hex_cylinder(1, n)
+    raise GraphError(f"unknown verify family {family!r}")
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    case_id: str
+    verdict: str                   # "PASS" | "FAIL"
+    detail: str = ""
+    chi: int | None = None
+    chi_expected: int | None = None
+    expected: str = ""
+    betti: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
+    betti_skipped: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "PASS"
+
+    def line(self) -> str:
+        parts = [self.case_id, self.verdict]
+        if self.chi is not None:
+            parts.append(f"chi={self.chi}")
+        if self.betti_skipped:
+            parts.append("betti=skipped")
+        elif self.betti:
+            rendered = ";".join(
+                "p{}:{}".format(p, ",".join(f"{d}:{v}" for d, v in prof) or "0")
+                for p, prof in self.betti
+            )
+            parts.append(f"betti={rendered}")
+        if self.detail and not self.passed:
+            parts.append(f"[{self.detail}]")
+        return " ".join(parts)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "case": self.case_id,
+            "verdict": self.verdict,
+            "detail": self.detail,
+            "chi": self.chi,
+            "chi_expected": self.chi_expected,
+            "expected": self.expected,
+            "betti": {
+                str(p): {str(d): v for d, v in prof} for p, prof in self.betti
+            },
+            "betti_skipped": self.betti_skipped,
+        }
+
+
+def verify_case(
+    family: str,
+    n: int,
+    primes: tuple[int, ...] = (2, 3),
+    budget: int | None = euler.DEFAULT_FACE_BUDGET,
+    with_betti: bool = True,
+) -> VerifyReport:
+    """Check one family member against its declared shape. The chi~ check
+    always runs; Betti checks degrade to skipped above the face budget."""
+    shape = expected_shape(family, n)
+    g = family_graph(family, n)
+    case_id = f"{family} {n}"
+    chi = euler.chi_reduced_recursive(g)
+    chi_want = shape.chi_reduced()
+    problems = []
+    if chi != chi_want:
+        problems.append(f"chi {chi} != expected {chi_want}")
+
+    betti_rows: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    skipped = not with_betti
+    if with_betti:
+        try:
+            k = complexes.independence_complex(g, budget=budget)
+            profiles = homology.betti_profiles(k, tuple(primes))
+        except (euler.FaceBudgetExceeded, homology.HomologyBudgetError):
+            skipped = True
+        else:
+            for p in primes:
+                want = homology.betti_of_shape(shape, p).nonzero()
+                got = profiles[p].nonzero()
+                betti_rows.append((p, got))
+                if got != want:
+                    problems.append(
+                        f"betti over GF({p}) {got} != expected {want}"
+                    )
+    verdict = "PASS" if not problems else "FAIL"
+    return VerifyReport(
+        case_id, verdict, "; ".join(problems), chi, chi_want,
+        shape.describe(), tuple(betti_rows), skipped,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Four-row-grid recursion checks
+
+
+def verify_appendix(n_max: int = 14) -> list[VerifyReport]:
+    """The exact Euler-characteristic identities behind the four-row grids:
+    closed form, parity, both reduction certificates, and the deletion
+    recursions, with the Y-family base values."""
+    if n_max < 4:
+        raise GraphError("need n_max >= 4")
+    out: list[VerifyReport] = []
+
+    bad = [
+        n for n in range(1, n_max + 1)
+        if euler.chi_four_row_grid(n) != euler.chi_reduced_recursive(grid(4, n))
+    ]
+    out.append(_bulk_report("P4 closed form n=1..%d" % n_max, bad))
+
+    bad = []
+    for n in range(1, n_max + 1):
+        chi = euler.chi_four_row_grid(n)
+        if n % 2 == 1 and chi < 0:
+            bad.append(n)
+        if n % 2 == 0 and chi >= 0:
+            bad.append(n)
+    out.append(_bulk_report("P4 parity n=1..%d" % n_max, bad))
+
+    bad = []
+    for n in range(3, n_max + 1):
+        cert = certificates.builtin_certificate("p4n-to-x", n)
+        rep = moves.replay(cert, checks="chi")
+        chi_whole = euler.chi_reduced_recursive(grid(4, n))
+        chi_x = euler.chi_reduced_recursive(
+            grid(4, n - 2).add_edge("r1c1", "r4c1")
+        )
+        if not rep.passed or chi_whole != chi_x:
+            bad.append(n)
+    out.append(_bulk_report("P4 -> chorded-grid transfer n=3..%d" % n_max, bad))
+
+    bad = [
+        n for n in range(4, n_max + 1)
+        if euler.chi_reduced_recursive(grid(4, n))
+        != euler.chi_reduced_recursive(grid(4, n - 2))
+        - euler.chi_reduced_recursive(four_row_minus_corners(n - 3))
+    ]
+    out.append(_bulk_report("P4 two-column recursion n=4..%d" % n_max, bad))
+
+    bad = []
+    for n in range(4, n_max + 1):
+        cert = certificates.builtin_certificate("y-recursion", n)
+        rep = moves.replay(cert, checks="chi")
+        lhs = euler.chi_reduced_recursive(four_row_minus_corners(n))
+        rhs = -euler.chi_reduced_recursive(four_row_minus_corners(n - 3))
+        if not rep.passed or lhs != rhs:
+            bad.append(n)
+    out.append(_bulk_report("Y three-column sign flip n=4..%d" % n_max, bad))
+
+    base = {1: 1, 2: 0, 3: 1}
+    bad = [
+        n for n, v in base.items()
+        if euler.chi_reduced_recursive(four_row_minus_corners(n)) != v
+    ]
+    out.append(_bulk_report("Y base values", bad))
+
+    branch = {0: -1, 1: 1, 2: 0, 3: 1, 4: -1, 5: 0}
+    bad = [
+        n for n in range(1, n_max + 1)
+        if euler.chi_reduced_recursive(four_row_minus_corners(n)) != branch[n % 6]
+    ]
+    out.append(_bulk_report("Y branch values n=1..%d" % n_max, bad))
+    return out
+
+
+def _bulk_report(case_id: str, bad: list) -> VerifyReport:
+    if bad:
+        return VerifyReport(case_id, "FAIL", f"failing instances: {bad}")
+    return VerifyReport(case_id, "PASS")
+
+
+# ---------------------------------------------------------------------------
+# Property suites
+
+
+def replacement_suite(
+    rng: random.Random,
+    per_rule: int = 20,
+    budget: int | None = euler.DEFAULT_FACE_BUDGET,
+    with_betti: bool = True,
+) -> list[VerifyReport]:
+    """Random hosts per rule: replacement + replay must pass, chi~ must flip
+    sign, and the GF(2) profile must shift by the suspension count."""
+    out = []
+    for rule in ("thm1", "thm2", "thm3"):
+        shift = certificates.SUSPENSION_COUNT[rule]
+        bad: list[str] = []
+        for i in range(per_rule):
+            g, patch = certificates.random_host(rule, rng)
+            h, cert = certificates.make_replacement(g, patch)
+            rep = moves.replay(cert, checks="chi")
+            if not rep.passed:
+                bad.append(f"#{i}: replay {rep.failure}")
+                continue
+            chi_g = euler.chi_reduced_recursive(g)
+            chi_h = euler.chi_reduced_recursive(h)
+            if chi_h != -chi_g:
+                bad.append(f"#{i}: chi {chi_h} != -({chi_g})")
+                continue
+            if with_betti:
+                try:
+                    kg = complexes.independence_complex(g, budget=budget)
+                    kh = complexes.independence_complex(h, budget=budget)
+                    bg = homology.reduced_betti(kg, 2)
+                    bh = homology.reduced_betti(kh, 2)
+                except (euler.FaceBudgetExceeded, homology.HomologyBudgetError):
+                    continue
+                if bh.nonzero() != bg.shifted(shift).nonzero():
+                    bad.append(f"#{i}: betti shift by {shift} fails")
+        out.append(_bulk_report(f"{rule} random hosts x{per_rule}", bad))
+    return out
+
+
+def _random_graph(rng: random.Random, max_n: int, p_edge: float | None = None) -> Graph:
+    n = rng.randint(1, max_n)
+    p = p_edge if p_edge is not None else rng.uniform(0.2, 0.5)
+    names = [f"v{i}" for i in range(n)]
+    edges = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < p
+    ]
+    return make_graph(names, edges)
+
+
+def _valid_steps(g: Graph) -> list[moves.OpStep]:
+    found = []
+    verts = list(g.vertices)
+    for v in verts:
+        for u in verts:
+            if u == v:
+                continue
+            step = moves.OpStep(moves.DEL_VERTEX, v, u)
+            if moves.check_step(g, step).ok:
+                found.append(step)
+    for a, b in sorted(g.edges):
+        for u in verts:
+            if u in (a, b):
+                continue
+            step = moves.OpStep(moves.DEL_EDGE, (a, b), u)
+            if moves.check_step(g, step).ok:
+                found.append(step)
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            if g.has_edge(a, b):
+                continue
+            for u in verts:
+                if u in (a, b):
+                    continue
+                step = moves.OpStep(moves.ADD_EDGE, (a, b), u)
+                if moves.check_step(g, step).ok:
+                    found.append(step)
+    return found
+
+
+def oracle_suite(
+    rng: random.Random,
+    instances: int = 200,
+    max_vertices: int = 9,
+    budget: int | None = euler.DEFAULT_FACE_BUDGET,
+) -> VerifyReport:
+    """Random (graph, valid step) pairs: the face-level matching must run as
+    elementary collapses and land exactly on the edited graph's complex."""
+    bad: list[str] = []
+    done = 0
+    attempts = 0
+    while done < instances and attempts < instances * 60:
+        attempts += 1
+        g = _random_graph(rng, max_vertices)
+        steps = _valid_steps(g)
+        if not steps:
+            continue
+        step = steps[rng.randrange(len(steps))]
+        residual, report = complexes.collapse_oracle(g, step, budget=budget)
+        if not report.ok or not report.residual_equals_edited:
+            bad.append(f"#{done}: {step.describe()}: {report.detail}")
+        done += 1
+    if done < instances:
+        bad.append(f"only generated {done}/{instances} instances")
+    return _bulk_report(f"collapse oracle x{instances}", bad)
+
+
+def euler_suite(
+    rng: random.Random,
+    join_pairs: int = 100,
+    edge_identities: int = 100,
+    agreement: int = 200,
+) -> list[VerifyReport]:
+    out = []
+
+    bad = []
+    for i in range(join_pairs):
+        g = _random_graph(rng, 6)
+        h = _random_graph(rng, 6)
+        u = g.disjoint_union(h, suffix="_r")
+        lhs = euler.chi_reduced_recursive(u)
+        rhs = -euler.chi_reduced_recursive(g) * euler.chi_reduced_recursive(h)
+        if lhs != rhs:
+            bad.append(str(i))
+    out.append(_bulk_report(f"disjoint-union chi identity x{join_pairs}", bad))
+
+    bad = []
+    done = 0
+    while done < edge_identities:
+        g = _random_graph(rng, 9)
+        if not g.edges:
+            continue
+        e = sorted(g.edges)[rng.randrange(len(g.edges))]
+        if not euler.edge_deletion_identity(g, e):
+            bad.append(f"#{done}")
+        done += 1
+    out.append(_bulk_report(f"edge-deletion chi identity x{edge_identities}", bad))
+
+    bad = []
+    for i in range(agreement):
+        g = _random_graph(rng, 10)
+        if euler.chi_reduced_enumerate(g) != euler.chi_reduced_recursive(g):
+            bad.append(str(i))
+    out.append(_bulk_report(f"enumerate/recursive agreement x{agreement}", bad))
+    return out
+
+
+def builtin_replay_suite(
+    budget: int | None = euler.DEFAULT_FACE_BUDGET,
+    ch1_max: int = 5,
+    p4n_max: int = 10,
+    y_max: int = 10,
+) -> list[VerifyReport]:
+    jobs: list[tuple[str, int | None]] = [
+        ("thm1-generic", None), ("thm2-generic", None), ("thm3-generic", None),
+        ("p42", None), ("c32", None), ("m32", None), ("c33", None),
+        ("c34", None), ("m33", None), ("m34", None),
+    ]
+    jobs += [("ch1", n) for n in range(1, ch1_max + 1)]
+    jobs += [("p4n-to-x", n) for n in range(3, p4n_max + 1)]
+    jobs += [("y-recursion", n) for n in range(4, y_max + 1)]
+    out = []
+    for cert_id, n in jobs:
+        cert = certificates.builtin_certificate(cert_id, n)
+        rep = moves.replay(cert, checks="chi", budget=budget)
+        detail = "" if rep.passed else f"{rep.failure}: {rep.failure_detail}"
+        out.append(
+            VerifyReport(f"replay {cert.name}", "PASS" if rep.passed else "FAIL", detail)
+        )
+    return out
+
+
+ORACLE_CHECKED_BUILTINS = (
+    "thm1-generic", "thm2-generic", "p42", "c32", "m32", "c33", "m33",
+)
+
+
+def oracle_validate_certificate(
+    cert: moves.Certificate, budget: int | None = euler.DEFAULT_FACE_BUDGET
+) -> tuple[bool, str]:
+    """Validate every step of a certificate with the face-level oracle."""
+    g = cert.initial_graph()
+    for i, step in enumerate(cert.steps):
+        try:
+            _, report = complexes.collapse_oracle(g, step, budget=budget)
+        except euler.FaceBudgetExceeded:
+            return True, f"stopped at step {i}: face budget"
+        if not report.ok:
+            return False, f"step {i} {step.describe()}: {report.detail}"
+        g = moves.apply_step(g, step)
+    return True, ""
+
+
+def builtin_oracle_suite(budget: int | None = euler.DEFAULT_FACE_BUDGET) -> list[VerifyReport]:
+    out = []
+    for cert_id in ORACLE_CHECKED_BUILTINS:
+        cert = certificates.builtin_certificate(cert_id)
+        ok, detail = oracle_validate_certificate(cert, budget=budget)
+        out.append(VerifyReport(f"oracle {cert_id}", "PASS" if ok else "FAIL", detail))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Suite configuration and runner
+
+
+DEFAULT_SEED = 20240801
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    c1_max: int = 16
+    c2_max: int = 16
+    c3_max: int = 12
+    m2_max: int = 16
+    m3_max: int = 12
+    ch1_max: int = 10
+    appendix_max: int = 14
+    primes: tuple[int, ...] = (2, 3)
+    budget: int = euler.DEFAULT_FACE_BUDGET
+    seed: int = DEFAULT_SEED
+    random_hosts: int = 20
+    oracle_instances: int = 200
+    join_pairs: int = 100
+    edge_identities: int = 100
+    agreement: int = 200
+    checks: str = "betti"          # "chi" restricts every case to chi~ only
+
+    def family_bound(self, family: str) -> int:
+        return {
+            "C1": self.c1_max, "C2": self.c2_max, "C3": self.c3_max,
+            "M2": self.m2_max, "M3": self.m3_max, "CH1": self.ch1_max,
+        }[family]
+
+
+_INT_KEYS = {
+    "c1_max", "c2_max", "c3_max", "m2_max", "m3_max", "ch1_max",
+    "appendix_max", "budget", "seed", "random_hosts", "oracle_instances",
+    "join_pairs", "edge_identities", "agreement",
+}
+
+
+def parse_config(text: str) -> SuiteConfig:
+    """Plain-text key/value config: one `key = value` per line, '#' comments."""
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" in line:
+            key, _, val = line.partition("=")
+        else:
+            key, _, val = line.partition(" ")
+        key = key.strip()
+        val = val.strip()
+        if key in _INT_KEYS:
+            values[key] = int(val)
+        elif key == "primes":
+            values[key] = tuple(int(x) for x in val.replace(",", " ").split())
+        elif key == "checks":
+            if val not in ("chi", "betti"):
+                raise GraphError(f"line {lineno}: checks must be chi or betti")
+            values[key] = val
+        else:
+            raise GraphError(f"line {lineno}: unknown config key {key!r}")
+    return SuiteConfig(**values)
+
+
+@dataclass(frozen=True)
+class SuiteSummary:
+    reports: tuple[VerifyReport, ...]
+    config: SuiteConfig
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.reports)
+
+    def lines(self) -> list[str]:
+        out = [r.line() for r in self.reports]
+        n_fail = sum(1 for r in self.reports if not r.passed)
+        out.append(
+            f"TOTAL {len(self.reports)} cases, "
+            f"{len(self.reports) - n_fail} passed, {n_fail} failed"
+        )
+        return out
+
+    def to_json_dict(self) -> dict:
+        return {
+            "passed": self.passed,
+            "cases": [r.to_json_dict() for r in self.reports],
+            "seed": self.config.seed,
+            "budget": self.config.budget,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
+
+
+def run_corollary_cases(config: SuiteConfig) -> list[VerifyReport]:
+    out = []
+    for family in VERIFY_FAMILIES:
+        for n in range(1, config.family_bound(family) + 1):
+            out.append(
+                verify_case(
+                    family, n, primes=config.primes, budget=config.budget,
+                    with_betti=config.checks == "betti",
+                )
+            )
+    return out
+
+
+def run_suite(config: SuiteConfig = SuiteConfig(), sections: tuple[str, ...] = ("corollaries", "appendix", "replays", "properties")) -> SuiteSummary:
+    reports: list[VerifyReport] = []
+    if "corollaries" in sections:
+        reports += run_corollary_cases(config)
+    if "appendix" in sections:
+        reports += verify_appendix(config.appendix_max)
+    if "replays" in sections:
+        reports += builtin_replay_suite(budget=config.budget)
+        reports += builtin_oracle_suite(budget=config.budget)
+    if "properties" in sections:
+        rng = random.Random(config.seed)
+        reports += replacement_suite(
+            rng, per_rule=config.random_hosts, budget=config.budget,
+            with_betti=config.checks == "betti",
+        )
+        reports.append(
+            oracle_suite(rng, instances=config.oracle_instances, budget=config.budget)
+        )
+        reports += euler_suite(
+            rng, join_pairs=config.join_pairs,
+            edge_identities=config.edge_identities, agreement=config.agreement,
+        )
+    return SuiteSummary(tuple(reports), config)
