@@ -9,12 +9,12 @@ from .graphs import (
     four_row_minus_corners,
     four_row_with_chord,
     generate_family,
+    graphs_equal_labeled,
     grid,
     hex_cylinder,
     make_graph,
     moebius,
     moebius_hex_strip,
-    same_graph,
 )
 from .euler import (
     DEFAULT_FACE_BUDGET,
@@ -32,7 +32,7 @@ from .complexes import (
     join,
     sphere,
 )
-from .homology import BettiProfile, betti_of_shape, reduced_betti
+from .homology import BettiProfile, reduced_betti
 from .moves import (
     Certificate,
     OpStep,

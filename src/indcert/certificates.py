@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .graphs import (
     FamilySpec,
@@ -29,7 +30,6 @@ from .graphs import (
     GraphError,
     cylinder,
     four_row_minus_corners,
-    generate_family,
     grid,
     grid_label,
     hex_cylinder,
@@ -531,39 +531,38 @@ def _cert_thm_generic(rule: str) -> Certificate:
     )
 
 
-BUILTIN_IDS = (
-    "thm1-generic", "thm2-generic", "thm3-generic",
-    "p42", "c32", "m32", "c33", "c34", "m33", "m34",
-    "ch1", "p4n-to-x", "y-recursion",
-)
+_STATIC_BUILDERS = {
+    "thm1-generic": partial(_cert_thm_generic, "thm1"),
+    "thm2-generic": partial(_cert_thm_generic, "thm2"),
+    "thm3-generic": partial(_cert_thm_generic, "thm3"),
+    "p42": _cert_p42,
+    "c32": _cert_c32,
+    "m32": _cert_m32,
+    "c33": _cert_c33,
+    "c34": _cert_c34,
+    "m33": _cert_m33,
+    "m34": _cert_m34,
+}
 
-PARAMETERIZED_IDS = ("ch1", "p4n-to-x", "y-recursion")
+_PARAMETERIZED_BUILDERS = {
+    "ch1": _cert_ch1,
+    "p4n-to-x": _cert_p4n_to_x,
+    "y-recursion": _cert_y_recursion,
+}
+
+BUILTIN_IDS = tuple(_STATIC_BUILDERS) + tuple(_PARAMETERIZED_BUILDERS)
+PARAMETERIZED_IDS = tuple(_PARAMETERIZED_BUILDERS)
 
 
 def builtin_certificate(cert_id: str, n: int | None = None) -> Certificate:
-    if cert_id in ("thm1-generic", "thm2-generic", "thm3-generic"):
-        return _cert_thm_generic(cert_id.split("-")[0])
-    static = {
-        "p42": _cert_p42,
-        "c32": _cert_c32,
-        "m32": _cert_m32,
-        "c33": _cert_c33,
-        "c34": _cert_c34,
-        "m33": _cert_m33,
-        "m34": _cert_m34,
-    }
-    if cert_id in static:
+    if cert_id in _STATIC_BUILDERS:
         if n is not None:
             raise GraphError(f"{cert_id} takes no parameter")
-        return static[cert_id]()
-    if cert_id in PARAMETERIZED_IDS:
+        return _STATIC_BUILDERS[cert_id]()
+    if cert_id in _PARAMETERIZED_BUILDERS:
         if n is None:
             raise GraphError(f"{cert_id} needs a parameter n")
-        return {
-            "ch1": _cert_ch1,
-            "p4n-to-x": _cert_p4n_to_x,
-            "y-recursion": _cert_y_recursion,
-        }[cert_id](n)
+        return _PARAMETERIZED_BUILDERS[cert_id](n)
     raise GraphError(f"unknown certificate id {cert_id!r}")
 
 

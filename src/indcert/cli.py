@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import certificates, complexes, euler, homology, moves, verify
 from .graphs import (
@@ -111,41 +112,25 @@ def _cmd_make_cert(args) -> int:
     return EXIT_PASS
 
 
+_SUITE_SECTIONS = {
+    "corollaries": ("corollaries",),
+    "appendix": ("appendix",),
+    "all": ("corollaries", "appendix", "replays", "properties"),
+    "selftest": ("replays", "properties"),
+}
+
+
 def _cmd_verify(args) -> int:
+    """`verify WHAT` and `selftest` (which runs with no config file)."""
     if args.config:
         config = verify.parse_config(_read_text(args.config))
     else:
         config = verify.SuiteConfig()
-    overrides = {}
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
-    sections = {
-        "corollaries": ("corollaries",),
-        "appendix": ("appendix",),
-        "all": ("corollaries", "appendix", "replays", "properties"),
-    }[args.what]
-    summary = verify.run_suite(config, sections=sections)
-    if args.json:
-        print(summary.to_json())
-    else:
-        for line in summary.lines():
-            print(line)
-    return EXIT_PASS if summary.passed else EXIT_VERIFY_FAIL
-
-
-def _cmd_selftest(args) -> int:
-    from dataclasses import replace
-    config = verify.SuiteConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     if args.budget is not None:
         config = replace(config, budget=args.budget)
-    summary = verify.run_suite(config, sections=("replays", "properties"))
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    summary = verify.run_suite(config, sections=_SUITE_SECTIONS[args.what])
     if args.json:
         print(summary.to_json())
     else:
@@ -218,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(func=_cmd_verify, what="selftest", config=None)
 
     return parser
 
@@ -234,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, euler.FaceBudgetExceeded, homology.HomologyBudgetError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: the input is too large for the recursive routines", file=sys.stderr)
         return EXIT_INPUT
 
 

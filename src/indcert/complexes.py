@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .euler import DEFAULT_FACE_BUDGET, FaceBudgetExceeded, independent_set_masks
+from .euler import DEFAULT_FACE_BUDGET, independent_set_masks
 from .graphs import Graph, GraphError
-from .moves import ADD_EDGE, DEL_EDGE, DEL_VERTEX, OpStep, apply_step, check_step
+from .moves import ADD_EDGE, DEL_VERTEX, OpStep, apply_step
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,6 @@ class SimplicialComplex:
 
     def faces(self) -> set[frozenset[str]]:
         return {self.face_labels(m) for m in self.face_masks}
-
-    def has_face(self, labels) -> bool:
-        want = frozenset(labels)
-        if not want <= set(self.vertices):
-            return False
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        mask = 0
-        for v in want:
-            mask |= 1 << idx[v]
-        return mask in self.face_masks
 
     def is_downward_closed(self) -> bool:
         faces = self.face_masks
@@ -166,10 +156,6 @@ def complexes_equal(k: SimplicialComplex, l: SimplicialComplex) -> bool:
     if set(k.vertices) == set(l.vertices) and k.vertices == l.vertices:
         return k.face_masks == l.face_masks
     return k.faces() == l.faces()
-
-
-def euler_reduced(k: SimplicialComplex) -> int:
-    return sum(-1 if m.bit_count() % 2 == 0 else 1 for m in k.face_masks)
 
 
 # ---------------------------------------------------------------------------

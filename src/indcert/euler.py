@@ -1,9 +1,10 @@
 """Reduced Euler characteristics of independence complexes, exactly.
 
-Two routes are provided and must agree: direct enumeration of independent
-sets, and a memoized vertex recursion (the independence polynomial evaluated
-at -1, with connected-component splitting). Everything is exact integer
-arithmetic.
+`chi_reduced_recursive` is the production route: a memoized vertex recursion
+on the independence polynomial evaluated at -1, with connected-component
+splitting. `chi_reduced_enumerate` is the independent oracle: the signed sum
+over the independent sets that `independent_set_masks` enumerates. The two
+must agree. Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -50,32 +51,17 @@ def independent_set_masks(g: Graph, budget: int | None = DEFAULT_FACE_BUDGET):
             m ^= b
             rec(current | b, m & ~adj[b.bit_length() - 1])
 
-    rec(0, full)
+    try:
+        rec(0, full)
+    finally:
+        del rec  # rec refers to itself: break the cycle so `out` is freed on return
     return verts, out
 
 
 def chi_reduced_enumerate(g: Graph, budget: int | None = DEFAULT_FACE_BUDGET) -> int:
-    verts, adj = _adjacency_masks(g)
-    n = len(verts)
-    count = 0
-    total = 0
-    limit = budget if budget is not None else None
-
-    # chi~ = sum over independent S of (-1)^(|S|-1); the empty set gives -1.
-    def rec(size: int, candidates: int):
-        nonlocal count, total
-        total += 1
-        if limit is not None and total > limit:
-            raise FaceBudgetExceeded(limit)
-        count += -1 if size % 2 == 0 else 1
-        m = candidates
-        while m:
-            b = m & -m
-            m ^= b
-            rec(size + 1, m & ~adj[b.bit_length() - 1])
-
-    rec(0, (1 << n) - 1)
-    return count
+    """chi~ as the sum over independent S of (-1)^(|S|-1); the empty set gives -1."""
+    _, masks = independent_set_masks(g, budget=budget)
+    return sum(1 if m.bit_count() % 2 else -1 for m in masks)
 
 
 def _components(mask: int, adj: list[int]) -> list[int]:
@@ -135,7 +121,10 @@ def chi_reduced_recursive(g: Graph) -> int:
         memo[mask] = val
         return val
 
-    return -signed_count((1 << n) - 1)
+    try:
+        return -signed_count((1 << n) - 1)
+    finally:
+        del signed_count  # break the self-reference so `memo` is freed on return
 
 
 def chi_reduced(

@@ -10,7 +10,6 @@ merged vertex, and a looped vertex belongs to no independent set.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,9 +52,6 @@ class Graph:
 
     def has_edge(self, a: str, b: str) -> bool:
         return sorted_pair(a, b) in self.edges
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
 
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -323,107 +319,6 @@ def graphs_equal_labeled(g: Graph, h: Graph) -> bool:
     )
 
 
-DEFAULT_ISO_VERTEX_BOUND = 40
-
-
-class IsomorphismSizeError(GraphError):
-    """Isomorphism search refused above the configured vertex bound."""
-
-
-def _iso_signature(g: Graph, v: str) -> tuple:
-    return (len(g.adjacency[v]), v in g.loops)
-
-
-def find_isomorphism(
-    g: Graph, h: Graph, max_vertices: int = DEFAULT_ISO_VERTEX_BOUND
-) -> dict[str, str] | None:
-    """Exhaustive backtracking isomorphism search with degree pruning.
-
-    Intended for small graphs; refuses above ``max_vertices``.
-    """
-    if g.n_vertices() != h.n_vertices() or g.n_edges() != h.n_edges():
-        return None
-    if len(g.loops) != len(h.loops):
-        return None
-    if g.n_vertices() > max_vertices:
-        raise IsomorphismSizeError(
-            f"isomorphism search limited to {max_vertices} vertices"
-        )
-    gs = sorted((_iso_signature(g, v) for v in g.vertices))
-    hs = sorted((_iso_signature(h, v) for v in h.vertices))
-    if gs != hs:
-        return None
-
-    # Order g's vertices to keep the partial map connected where possible.
-    order: list[str] = []
-    placed: set[str] = set()
-    remaining = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    while remaining:
-        nxt = None
-        for v in remaining:
-            if any(u in placed for u in g.adjacency[v]):
-                nxt = v
-                break
-        if nxt is None:
-            nxt = remaining[0]
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.remove(nxt)
-
-    h_by_sig: dict[tuple, list[str]] = {}
-    for w in sorted(h.vertices):
-        h_by_sig.setdefault(_iso_signature(h, w), []).append(w)
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(v: str, w: str) -> bool:
-        if _iso_signature(g, v) != _iso_signature(h, w):
-            return False
-        for u in g.adjacency[v]:
-            if u in mapping and not h.has_edge(mapping[u], w):
-                return False
-        mapped_back = len([u for u in g.adjacency[v] if u in mapping])
-        mapped_h = len([x for x in h.adjacency[w] if x in used])
-        return mapped_back == mapped_h
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        for w in h_by_sig[_iso_signature(g, v)]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(idx + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    if backtrack(0):
-        return dict(mapping)
-    return None
-
-
-def same_graph(
-    g: Graph,
-    h: Graph,
-    mode: str = "labeled",
-    max_vertices: int = DEFAULT_ISO_VERTEX_BOUND,
-) -> tuple[bool, dict[str, str] | None]:
-    """Compare two graphs; isomorphic mode returns a vertex bijection on success."""
-    if mode == "labeled":
-        if graphs_equal_labeled(g, h):
-            return True, {v: v for v in g.vertices}
-        return False, None
-    if mode == "isomorphic":
-        iso = find_isomorphism(g, h, max_vertices=max_vertices)
-        return (iso is not None), iso
-    raise GraphError(f"unknown comparison mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # JSON input (graph documents and family references)
 
@@ -441,22 +336,35 @@ def family_from_json_dict(doc: dict) -> FamilySpec:
     return FamilySpec(fam, m, n)
 
 
+def is_label(x) -> bool:
+    """A vertex label as a JSON document may give it: a non-empty string."""
+    return isinstance(x, str) and x != ""
+
+
+def is_label_pair(x) -> bool:
+    """An edge as a JSON document may give it: a list of two labels."""
+    return isinstance(x, list) and len(x) == 2 and all(is_label(v) for v in x)
+
+
 def graph_from_json_dict(doc: dict) -> Graph:
     """Accepts either a graph document or a family reference document."""
     if not isinstance(doc, dict):
         raise GraphError("expected a JSON object")
     if "family" in doc:
         return generate_family(family_from_json_dict(doc))
-    try:
-        vertices = doc["vertices"]
-        edges = [tuple(e) for e in doc.get("edges", [])]
-        loops = doc.get("loops", [])
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph document: {exc}") from exc
-    for e in edges:
-        if len(e) != 2:
-            raise GraphError(f"edge {e!r} is not a pair")
-    return make_graph(list(vertices), edges, list(loops))
+    if "vertices" not in doc:
+        raise GraphError("malformed graph document: no 'vertices'")
+    for key, ok, what in (
+        ("vertices", is_label, "non-empty strings"),
+        ("edges", is_label_pair, "2-element lists of non-empty strings"),
+        ("loops", is_label, "non-empty strings"),
+    ):
+        value = doc.get(key, [])
+        if not isinstance(value, list) or not all(ok(x) for x in value):
+            raise GraphError(f"malformed graph document: {key!r} must be a list of {what}")
+    return make_graph(
+        doc["vertices"], [tuple(e) for e in doc.get("edges", [])], doc.get("loops", [])
+    )
 
 
 def graph_from_json(text: str) -> Graph:

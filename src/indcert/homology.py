@@ -55,9 +55,6 @@ class BettiProfile:
     def euler_reduced(self) -> int:
         return sum(v if (i - 1) % 2 == 0 else -v for i, v in enumerate(self.values))
 
-    def same_profile(self, other: "BettiProfile") -> bool:
-        return self.nonzero() == other.nonzero()
-
     def shifted(self, k: int) -> "BettiProfile":
         return BettiProfile(self.p, (0,) * k + self.values)
 
@@ -175,27 +172,4 @@ def _betti_from_faces(faces: frozenset[int], p: int) -> BettiProfile:
     for s in range(0, top + 1):
         dim_count = len(by_size.get(s, []))
         values.append(dim_count - ranks.get(s, 0) - ranks.get(s + 1, 0))
-    return BettiProfile(p, tuple(values))
-
-
-def betti_of_shape(shape, p: int = 2) -> BettiProfile:
-    """Betti profile a declared homotopy shape predicts.
-
-    A wedge of m copies of the d-sphere has a single reduced Betti number m in
-    dimension d; the (-1)-sphere is only meaningful alone (m = 1) and puts a 1
-    in dimension -1; a point has the zero profile.
-    """
-    if not is_prime(p):
-        raise GraphError(f"{p} is not prime")
-    if shape.kind == "point":
-        return BettiProfile(p, (0,))
-    if shape.kind != "wedge":
-        raise GraphError(f"malformed shape kind {shape.kind!r}")
-    m, d = shape.copies, shape.dim
-    if m < 1 or d < -1:
-        raise GraphError("malformed wedge shape")
-    if d == -1 and m != 1:
-        raise GraphError("a wedge of (-1)-spheres needs exactly one copy")
-    values = [0] * (d + 2)
-    values[d + 1] = m
     return BettiProfile(p, tuple(values))

@@ -19,7 +19,7 @@ step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import euler
 from .graphs import (
@@ -30,6 +30,8 @@ from .graphs import (
     generate_family,
     graph_from_json_dict,
     graphs_equal_labeled,
+    is_label,
+    is_label_pair,
     sorted_pair,
 )
 
@@ -85,6 +87,11 @@ def step_from_json_dict(doc: dict) -> OpStep:
         witness = doc["witness"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed step document: {exc}") from exc
+    if not (is_label(target) or is_label_pair(target)) or not is_label(witness):
+        raise GraphError(
+            "malformed step document: the target must be a non-empty string or "
+            "a list of two, the witness a non-empty string"
+        )
     if isinstance(target, list):
         target = tuple(target)
     return OpStep(kind, target, witness)

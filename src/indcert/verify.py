@@ -1,9 +1,11 @@
 """Expected homotopy shapes for the grid families and the end-to-end suites.
 
-A shape is either a wedge of m copies of the d-sphere or a point; families
-are verified by comparing the exact reduced Euler characteristic and, budget
-permitting, reduced Betti profiles over the configured primes against the
-shape's predictions. "point" is verified through vanishing invariants only;
+A shape is either a wedge of m copies of the d-sphere or a point, and it
+predicts its own invariants: `WedgeShape.chi_reduced` and `WedgeShape.betti`,
+the nonzero reduced Betti numbers, which are the same over every prime field.
+Families are verified by comparing the exact reduced Euler characteristic and,
+budget permitting, reduced Betti profiles over the configured primes against
+those predictions. "point" is verified through vanishing invariants only;
 contractibility itself is not certified.
 """
 
@@ -11,22 +13,26 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 from . import certificates, complexes, euler, homology, moves
 from .graphs import (
+    FamilySpec,
     Graph,
     GraphError,
-    cylinder,
     four_row_minus_corners,
+    four_row_with_chord,
+    generate_family,
     grid,
-    hex_cylinder,
     make_graph,
-    moebius,
-    same_graph,
 )
 
-VERIFY_FAMILIES = ("C1", "C2", "C3", "M2", "M3", "CH1")
+# verify family -> (generator family, row count m)
+_FAMILY_SPECS = {
+    "C1": ("C", 1), "C2": ("C", 2), "C3": ("C", 3),
+    "M2": ("M", 2), "M3": ("M", 3), "CH1": ("CH", 1),
+}
+VERIFY_FAMILIES = tuple(_FAMILY_SPECS)
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,13 @@ class WedgeShape:
         if self.kind == "point":
             return 0
         return self.copies if self.dim % 2 == 0 else -self.copies
+
+    def betti(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero reduced Betti numbers as (dim, value) pairs; a wedge of
+        m d-spheres has only m in dimension d, over every prime field."""
+        if self.kind == "point":
+            return ()
+        return ((self.dim, self.copies),)
 
     def describe(self) -> str:
         if self.kind == "point":
@@ -103,19 +116,10 @@ def expected_shape(family: str, n: int) -> WedgeShape:
 
 
 def family_graph(family: str, n: int) -> Graph:
-    if family == "C1":
-        return cylinder(1, n)
-    if family == "C2":
-        return cylinder(2, n)
-    if family == "C3":
-        return cylinder(3, n)
-    if family == "M2":
-        return moebius(2, n)
-    if family == "M3":
-        return moebius(3, n)
-    if family == "CH1":
-        return hex_cylinder(1, n)
-    raise GraphError(f"unknown verify family {family!r}")
+    if family not in _FAMILY_SPECS:
+        raise GraphError(f"unknown verify family {family!r}")
+    tag, m = _FAMILY_SPECS[family]
+    return generate_family(FamilySpec(tag, m, n))
 
 
 @dataclass(frozen=True)
@@ -191,8 +195,8 @@ def verify_case(
         except (euler.FaceBudgetExceeded, homology.HomologyBudgetError):
             skipped = True
         else:
+            want = shape.betti()
             for p in primes:
-                want = homology.betti_of_shape(shape, p).nonzero()
                 got = profiles[p].nonzero()
                 betti_rows.append((p, got))
                 if got != want:
@@ -238,9 +242,7 @@ def verify_appendix(n_max: int = 14) -> list[VerifyReport]:
         cert = certificates.builtin_certificate("p4n-to-x", n)
         rep = moves.replay(cert, checks="chi")
         chi_whole = euler.chi_reduced_recursive(grid(4, n))
-        chi_x = euler.chi_reduced_recursive(
-            grid(4, n - 2).add_edge("r1c1", "r4c1")
-        )
+        chi_x = euler.chi_reduced_recursive(four_row_with_chord(n - 2))
         if not rep.passed or chi_whole != chi_x:
             bad.append(n)
     out.append(_bulk_report("P4 -> chorded-grid transfer n=3..%d" % n_max, bad))
@@ -327,7 +329,7 @@ def replacement_suite(
     return out
 
 
-def _random_graph(rng: random.Random, max_n: int, p_edge: float | None = None) -> Graph:
+def random_graph(rng: random.Random, max_n: int, p_edge: float | None = None) -> Graph:
     n = rng.randint(1, max_n)
     p = p_edge if p_edge is not None else rng.uniform(0.2, 0.5)
     names = [f"v{i}" for i in range(n)]
@@ -383,7 +385,7 @@ def oracle_suite(
     attempts = 0
     while done < instances and attempts < instances * 60:
         attempts += 1
-        g = _random_graph(rng, max_vertices)
+        g = random_graph(rng, max_vertices)
         steps = _valid_steps(g)
         if not steps:
             continue
@@ -407,8 +409,8 @@ def euler_suite(
 
     bad = []
     for i in range(join_pairs):
-        g = _random_graph(rng, 6)
-        h = _random_graph(rng, 6)
+        g = random_graph(rng, 6)
+        h = random_graph(rng, 6)
         u = g.disjoint_union(h, suffix="_r")
         lhs = euler.chi_reduced_recursive(u)
         rhs = -euler.chi_reduced_recursive(g) * euler.chi_reduced_recursive(h)
@@ -419,7 +421,7 @@ def euler_suite(
     bad = []
     done = 0
     while done < edge_identities:
-        g = _random_graph(rng, 9)
+        g = random_graph(rng, 9)
         if not g.edges:
             continue
         e = sorted(g.edges)[rng.randrange(len(g.edges))]
@@ -430,7 +432,7 @@ def euler_suite(
 
     bad = []
     for i in range(agreement):
-        g = _random_graph(rng, 10)
+        g = random_graph(rng, 10)
         if euler.chi_reduced_enumerate(g) != euler.chi_reduced_recursive(g):
             bad.append(str(i))
     out.append(_bulk_report(f"enumerate/recursive agreement x{agreement}", bad))
@@ -444,9 +446,8 @@ def builtin_replay_suite(
     y_max: int = 10,
 ) -> list[VerifyReport]:
     jobs: list[tuple[str, int | None]] = [
-        ("thm1-generic", None), ("thm2-generic", None), ("thm3-generic", None),
-        ("p42", None), ("c32", None), ("m32", None), ("c33", None),
-        ("c34", None), ("m33", None), ("m34", None),
+        (cert_id, None) for cert_id in certificates.BUILTIN_IDS
+        if cert_id not in certificates.PARAMETERIZED_IDS
     ]
     jobs += [("ch1", n) for n in range(1, ch1_max + 1)]
     jobs += [("p4n-to-x", n) for n in range(3, p4n_max + 1)]
@@ -519,17 +520,11 @@ class SuiteConfig:
     checks: str = "betti"          # "chi" restricts every case to chi~ only
 
     def family_bound(self, family: str) -> int:
-        return {
-            "C1": self.c1_max, "C2": self.c2_max, "C3": self.c3_max,
-            "M2": self.m2_max, "M3": self.m3_max, "CH1": self.ch1_max,
-        }[family]
+        """The largest n checked for a verify family: its `<family>_max` field."""
+        return getattr(self, f"{family.lower()}_max")
 
 
-_INT_KEYS = {
-    "c1_max", "c2_max", "c3_max", "m2_max", "m3_max", "ch1_max",
-    "appendix_max", "budget", "seed", "random_hosts", "oracle_instances",
-    "join_pairs", "edge_identities", "agreement",
-}
+_INT_KEYS = {f.name for f in fields(SuiteConfig) if isinstance(f.default, int)}
 
 
 def parse_config(text: str) -> SuiteConfig:

@@ -1,7 +1,9 @@
+import gc
 import random
 
 import pytest
 
+from indcert.complexes import independence_complex
 from indcert.euler import (
     FaceBudgetExceeded,
     chi_four_row_grid,
@@ -17,17 +19,7 @@ from indcert.graphs import (
     grid,
     make_graph,
 )
-
-
-def random_graph(rng, max_n, p=None):
-    n = rng.randint(1, max_n)
-    p = p if p is not None else rng.uniform(0.2, 0.5)
-    names = [f"v{i}" for i in range(n)]
-    return make_graph(
-        names,
-        [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
-         if rng.random() < p],
-    )
+from indcert.verify import random_graph
 
 
 def test_known_grid_values():
@@ -125,3 +117,18 @@ def test_corner_trimmed_base_values_and_flip():
         assert chi_reduced(four_row_minus_corners(n)) == -chi_reduced(
             four_row_minus_corners(n - 3)
         )
+
+
+def test_chi_and_enumeration_free_their_memory_on_return():
+    # With the cyclic collector off, anything left for it to find after a
+    # call was kept alive by a reference cycle, such as a self-referring
+    # recursive closure holding its memo or face list.
+    g = cylinder(2, 8)
+    gc.collect()
+    gc.disable()
+    try:
+        for f in (chi_reduced_recursive, chi_reduced_enumerate, independence_complex):
+            f(g)
+            assert gc.collect() == 0, f.__name__
+    finally:
+        gc.enable()

@@ -8,13 +8,13 @@ from indcert.graphs import (
     four_row_with_chord,
     generate_family,
     graph_from_json,
+    graphs_equal_labeled,
     grid,
     grid_label,
     hex_cylinder,
     make_graph,
     moebius,
     moebius_hex_strip,
-    same_graph,
     sorted_pair,
 )
 
@@ -99,7 +99,7 @@ def test_inverse_edits_restore_graph():
     g = cylinder(1, 3)
     e = sorted(g.edges)[0]
     h = g.delete_edge(*e).add_edge(*e)
-    assert same_graph(g, h, "labeled")[0]
+    assert graphs_equal_labeled(g, h)
 
 
 def test_add_existing_edge_fails():
@@ -199,7 +199,7 @@ def test_four_row_variants():
 def test_generate_family_is_deterministic():
     a = generate_family(FamilySpec("M", 3, 4))
     b = generate_family(FamilySpec("M", 3, 4))
-    assert same_graph(a, b, "labeled")[0]
+    assert graphs_equal_labeled(a, b)
     assert a.to_json() == b.to_json()
 
 
@@ -217,35 +217,12 @@ def test_family_spec_validation():
 # -- comparison ---------------------------------------------------------------
 
 
-def test_same_graph_labeled_self():
+def test_graphs_equal_labeled_self():
     g = grid(2, 2)
-    ok, witness = same_graph(g, g, "labeled")
-    assert ok and witness == {v: v for v in g.vertices}
-
-
-def test_c13_isomorphic_to_triangle():
-    tri = make_graph(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
-    ok, bij = same_graph(cylinder(1, 3), tri, "isomorphic")
-    assert ok
-    assert sorted(bij) == ["r1c1", "r1c2", "r1c3"]
-    assert sorted(bij.values()) == ["x", "y", "z"]
-
-
-def test_path_not_isomorphic_to_cycle():
-    ok, bij = same_graph(grid(1, 3), cylinder(1, 3), "isomorphic")
-    assert not ok and bij is None
-
-
-def test_isomorphism_respects_loops():
-    a = make_graph(["u", "v"], [("u", "v")], ["u"])
-    b = make_graph(["u", "v"], [("u", "v")])
-    assert not same_graph(a, b, "isomorphic")[0]
-
-
-def test_isomorphism_size_refusal():
-    big = grid(7, 7)
-    with pytest.raises(GraphError):
-        same_graph(big, big, "isomorphic", max_vertices=40)
+    assert graphs_equal_labeled(g, g)
+    assert not graphs_equal_labeled(g, g.relabel({"r1c1": "x"}))
+    assert not graphs_equal_labeled(g, g.delete_edge("r1c1", "r1c2"))
+    assert not graphs_equal_labeled(g, make_graph(g.vertices, sorted(g.edges), ["r1c1"]))
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -253,12 +230,12 @@ def test_isomorphism_size_refusal():
 
 def test_json_round_trip():
     g = moebius(3, 4)
-    assert same_graph(g, graph_from_json(g.to_json()), "labeled")[0]
+    assert graphs_equal_labeled(g, graph_from_json(g.to_json()))
 
 
 def test_family_reference_accepted_as_graph():
     g = graph_from_json('{"family":"C","m":3,"n":4}')
-    assert same_graph(g, cylinder(3, 4), "labeled")[0]
+    assert graphs_equal_labeled(g, cylinder(3, 4))
 
 
 def test_json_output_sorted():
@@ -271,3 +248,19 @@ def test_bad_json_rejected():
         graph_from_json("{not json")
     with pytest.raises(GraphError):
         graph_from_json('{"vertices":["a"],"edges":[["a"]]}')
+
+
+@pytest.mark.parametrize("doc", [
+    '{"vertices":"ab","edges":["ab"]}',
+    '{"vertices":["a","b"],"edges":["ab"]}',
+    '{"vertices":["a","b"],"edges":[["a","b","a"]]}',
+    '{"vertices":["a","b"],"edges":[["a",1]]}',
+    '{"vertices":["a",""]}',
+    '{"vertices":["a",2]}',
+    '{"vertices":["a","b"],"loops":"a"}',
+    '{"vertices":["a","b"],"loops":[""]}',
+    '{"edges":[]}',
+])
+def test_graph_document_needs_label_lists(doc):
+    with pytest.raises(GraphError):
+        graph_from_json(doc)

@@ -5,24 +5,8 @@ import pytest
 from indcert.complexes import independence_complex, join, point_pair, sphere
 from indcert.euler import chi_reduced
 from indcert.graphs import GraphError, cylinder, make_graph, moebius
-from indcert.homology import (
-    BettiProfile,
-    betti_of_shape,
-    betti_profiles,
-    reduced_betti,
-)
-from indcert.verify import point, wedge
-
-
-def random_graph(rng, max_n):
-    n = rng.randint(1, max_n)
-    p = rng.uniform(0.2, 0.5)
-    names = [f"v{i}" for i in range(n)]
-    return make_graph(
-        names,
-        [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
-         if rng.random() < p],
-    )
+from indcert.homology import BettiProfile, betti_profiles, reduced_betti
+from indcert.verify import point, random_graph, wedge
 
 
 def test_two_sphere():
@@ -93,12 +77,11 @@ def test_profile_accessors():
 
 
 def test_betti_of_shape():
-    assert betti_of_shape(wedge(2, 0), 2).nonzero() == ((0, 2),)
-    assert betti_of_shape(point(), 2).nonzero() == ()
-    assert betti_of_shape(wedge(5, 2), 3).nonzero() == ((2, 5),)
-    assert betti_of_shape(wedge(1, -1), 2).nonzero() == ((-1, 1),)
-
-
-def test_betti_of_shape_rejects_bad_primes():
-    with pytest.raises(GraphError):
-        betti_of_shape(wedge(1, 0), 6)
+    assert wedge(2, 0).betti() == ((0, 2),)
+    assert point().betti() == ()
+    assert wedge(5, 2).betti() == ((2, 5),)
+    assert wedge(1, -1).betti() == ((-1, 1),)
+    # the prediction matches what elimination finds, over both primes
+    for k, shape in ((sphere(2), wedge(1, 2)), (sphere(-1), wedge(1, -1))):
+        for p in (2, 3):
+            assert reduced_betti(k, p).nonzero() == shape.betti()

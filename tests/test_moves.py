@@ -180,3 +180,19 @@ def test_certificate_json_round_trip():
     again = certificate_from_json(cert.to_json())
     assert again.steps == cert.steps
     assert again.name == cert.name
+
+
+@pytest.mark.parametrize("step", [
+    '{"op": "del_edge", "target": ["r1c1", 2], "witness": "r1c4"}',
+    '{"op": "del_edge", "target": ["r1c1", "r1c2", "r1c3"], "witness": "r1c4"}',
+    '{"op": "del_vertex", "target": 4, "witness": "r1c2"}',
+    '{"op": "del_vertex", "target": "", "witness": "r1c2"}',
+    '{"op": "del_vertex", "target": "r1c4", "witness": ["r1c2"]}',
+])
+def test_step_document_needs_label_targets(step):
+    text = (
+        '{"name": "bad", "initial": {"family": "C", "m": 1, "n": 6}, "steps": ['
+        + step + '], "expected_final": {"vertices": ["r1c1"]}}'
+    )
+    with pytest.raises(GraphError):
+        certificate_from_json(text)
