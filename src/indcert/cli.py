@@ -157,7 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="reduced Euler characteristic of I(G)")
     p.add_argument("graph")
-    p.add_argument("--method", choices=("enumerate", "recursive"), default="recursive")
+    p.add_argument(
+        "--method", choices=("enumerate", "recursive"), default="recursive",
+        help="recursive: the production frontier DP (the name is historical); "
+             "enumerate: the signed sum over all independent sets, within --budget",
+    )
     p.add_argument("--budget", type=int, default=euler.DEFAULT_FACE_BUDGET)
     p.set_defaults(func=_cmd_chi)
 
@@ -221,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
-        print("error: the input is too large for the recursive routines", file=sys.stderr)
+        print("error: the input is too deeply nested", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -1,10 +1,13 @@
 """Reduced Euler characteristics of independence complexes, exactly.
 
-`chi_reduced_recursive` is the production route: a memoized vertex recursion
-on the independence polynomial evaluated at -1, with connected-component
-splitting. `chi_reduced_enumerate` is the independent oracle: the signed sum
-over the independent sets that `independent_set_masks` enumerates. The two
-must agree. Everything is exact integer arithmetic.
+`chi_reduced_recursive` is the production route: a frontier
+(transfer-matrix) sweep over the vertices that evaluates the independence
+polynomial at -1; on grids it is the transfer matrix of hard squares at
+activity -1. It is iterative, so no recursion limit applies, and its cost is
+exponential only in the width of the frontier. `chi_reduced_enumerate` is
+the independent oracle: the signed sum over the independent sets that
+`independent_set_masks` enumerates. The two must agree. Everything is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -33,29 +36,36 @@ def _adjacency_masks(g: Graph) -> tuple[list[str], list[int]]:
 
 
 def independent_set_masks(g: Graph, budget: int | None = DEFAULT_FACE_BUDGET):
-    """Yield every independent set of g as a bitmask over the sorted unlooped
-    vertex order. Exact backtracking; raises FaceBudgetExceeded past budget."""
+    """Every independent set of g as a bitmask over the sorted unlooped vertex
+    order, in backtracking preorder: a set comes before its extensions, and
+    vertices are added lowest index first. Raises FaceBudgetExceeded past
+    budget.
+
+    The search keeps, per depth d, the set `cur[d]` it has built and the
+    vertices `cand[d]` it may still add there, so its depth is bounded by the
+    graph and not by the interpreter's recursion limit."""
     verts, adj = _adjacency_masks(g)
     n = len(verts)
-    out: list[int] = []
-    limit = budget if budget is not None else None
-    full = (1 << n) - 1
-
-    def rec(current: int, candidates: int):
-        out.append(current)
-        if limit is not None and len(out) > limit:
-            raise FaceBudgetExceeded(limit)
-        m = candidates
-        while m:
-            b = m & -m
-            m ^= b
-            rec(current | b, m & ~adj[b.bit_length() - 1])
-
-    try:
-        rec(0, full)
-    finally:
-        del rec  # rec refers to itself: break the cycle so `out` is freed on return
-    return verts, out
+    cur = [0] * (n + 1)
+    cand = [0] * (n + 1)
+    cand[0] = (1 << n) - 1
+    out = [0]
+    d = 0
+    while True:
+        if budget is not None and len(out) > budget:
+            raise FaceBudgetExceeded(budget)
+        while not cand[d]:
+            if d == 0:
+                return verts, out
+            d -= 1
+        m = cand[d]
+        b = m & -m
+        m ^= b
+        cand[d] = m
+        cur[d + 1] = cur[d] | b
+        cand[d + 1] = m & ~adj[b.bit_length() - 1]
+        d += 1
+        out.append(cur[d])
 
 
 def chi_reduced_enumerate(g: Graph, budget: int | None = DEFAULT_FACE_BUDGET) -> int:
@@ -64,67 +74,82 @@ def chi_reduced_enumerate(g: Graph, budget: int | None = DEFAULT_FACE_BUDGET) ->
     return sum(1 if m.bit_count() % 2 else -1 for m in masks)
 
 
-def _components(mask: int, adj: list[int]) -> list[int]:
-    comps = []
-    rem = mask
-    while rem:
-        seed = rem & -rem
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                nxt |= adj[b.bit_length() - 1] & mask & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        rem &= ~comp
-    return comps
+def _next_vertex(active: int, unprocessed: int, adj: list[int]) -> int:
+    """The sweep's next vertex. Among the unprocessed neighbours of the active
+    set: the one leaving the fewest active vertices, then the one with the
+    most processed neighbours, then the lowest index. -1 when there is none:
+    the active set is empty, and the sweep starts a new component."""
+    cands = 0
+    m = active
+    while m:
+        b = m & -m
+        m ^= b
+        cands |= adj[b.bit_length() - 1]
+    cands &= unprocessed
+    processed = ~unprocessed
+    best, best_key = -1, None
+    while cands:
+        b = cands & -cands
+        cands ^= b
+        v = b.bit_length() - 1
+        rest = unprocessed ^ b
+        # v joins the active set if it keeps an unprocessed neighbour; an
+        # active neighbour of v retires if v was its last one
+        size = active.bit_count() + (1 if adj[v] & rest else 0)
+        m = active & adj[v]
+        while m:
+            u = m & -m
+            m ^= u
+            if not adj[u.bit_length() - 1] & rest:
+                size -= 1
+        key = (size, -(adj[v] & processed).bit_count())
+        if best_key is None or key < best_key:
+            best, best_key = v, key
+    return best
 
 
 def chi_reduced_recursive(g: Graph) -> int:
-    """chi~ via the vertex recursion on the signed independent-set count
-    f(G) = f(G - v) - f(G \\ N[v]), memoized on induced vertex subsets and
-    multiplied over connected components; returns -f(G)."""
-    verts, adj = _adjacency_masks(g)
-    n = len(verts)
-    memo: dict[int, int] = {0: 1}
+    """chi~ of I(g) by a frontier (transfer-matrix) sweep; the name is kept
+    for callers and for the benchmark's tracer, which wraps it by name.
 
-    def signed_count(mask: int) -> int:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        comps = _components(mask, adj)
-        if len(comps) > 1:
-            val = 1
-            for c in comps:
-                val *= signed_count(c)
-            memo[mask] = val
-            return val
-        # pivot: maximum degree within the induced subgraph
-        best_v = -1
-        best_d = -1
-        m = mask
+    The vertices are processed one at a time in the order of `_next_vertex`.
+    A state is the set of chosen vertices among the active ones (processed,
+    with an unprocessed neighbour left), and its weight is the signed count
+    sum (-1)^|S| over the independent sets S of the processed vertices that
+    meet the active set in it. A vertex is skipped, or taken with the sign
+    negated when the state holds none of its neighbours; then the vertices
+    with no unprocessed neighbour left retire and equal states merge. The
+    sweep is iterative, so its depth is not limited; chi~ = -(sum of the
+    weights)."""
+    verts, adj = _adjacency_masks(g)
+    unprocessed = (1 << len(verts)) - 1
+    # component starts: least degree first, then lowest index (sorted is stable)
+    starts = iter(sorted(range(len(verts)), key=lambda u: adj[u].bit_count()))
+    active = 0
+    states = {0: 1}
+    while unprocessed:
+        v = _next_vertex(active, unprocessed, adj)
+        if v < 0:
+            v = next(u for u in starts if unprocessed >> u & 1)
+        vb = 1 << v
+        unprocessed ^= vb
+        active |= vb
+        nbrs = adj[v]
+        m = active & (nbrs | vb)   # only v and its neighbours can retire now
         while m:
             b = m & -m
             m ^= b
-            i = b.bit_length() - 1
-            d = (adj[i] & mask).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = i
-        vb = 1 << best_v
-        val = signed_count(mask & ~vb) - signed_count(mask & ~(adj[best_v] | vb))
-        memo[mask] = val
-        return val
-
-    try:
-        return -signed_count((1 << n) - 1)
-    finally:
-        del signed_count  # break the self-reference so `memo` is freed on return
+            if not adj[b.bit_length() - 1] & unprocessed:
+                active ^= b
+        merged: dict[int, int] = {}
+        for s, w in states.items():
+            t = s & active
+            merged[t] = merged.get(t, 0) + w
+            if not s & nbrs:
+                t = (s | vb) & active
+                merged[t] = merged.get(t, 0) - w
+        states = {s: w for s, w in merged.items() if w}
+    return -sum(states.values())
 
 
 def chi_reduced(
@@ -145,7 +170,7 @@ def chi_four_row_grid(n: int) -> int:
     return (-2 * k - 1, 2 * k, -2 * k - 1, 2 * k + 1, -2 * k - 2, 2 * k + 1)[i]
 
 
-def edge_deletion_identity(g: Graph, e: tuple[str, str], budget: int | None = None) -> bool:
+def edge_deletion_identity(g: Graph, e: tuple[str, str]) -> bool:
     """Check chi~(I(G-e)) = chi~(I(G)) + chi~(I(G \\ N[e])).
 
     The sign is calibrated on the single-edge graph: there the left side is 0,

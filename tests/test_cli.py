@@ -52,13 +52,27 @@ def test_exit_3_on_malformed_input(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_exit_3_when_the_input_is_too_deep_to_recurse(tmp_path, capsys):
+def test_chi_of_a_long_path_needs_no_recursion(tmp_path, capsys):
+    # I(P_3000) is homotopy equivalent to S^999, so chi~ = (-1)^999
     g = write(tmp_path, "path.json", grid(1, 3000).to_json())
-    for command in ("chi", "complex"):
-        assert cli.main([command, g]) == cli.EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
+    assert cli.main(["chi", g]) == cli.EXIT_PASS
+    assert capsys.readouterr().out.strip() == "-1"
+
+
+def test_exit_3_when_the_complex_exceeds_the_face_budget(tmp_path, capsys):
+    g = write(tmp_path, "path.json", grid(1, 3000).to_json())
+    assert cli.main(["complex", g]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: face budget") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_exit_3_when_the_input_is_too_deeply_nested(tmp_path, capsys):
+    # json raises RecursionError on this document
+    g = write(tmp_path, "nested.json", "[" * 100000)
+    assert cli.main(["chi", g]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.strip() == "error: the input is too deeply nested"
 
 
 @pytest.mark.parametrize("argv, want_config, want_sections", [

@@ -11,6 +11,7 @@ from indcert.euler import (
     chi_reduced_enumerate,
     chi_reduced_recursive,
     edge_deletion_identity,
+    independent_set_masks,
 )
 from indcert.graphs import (
     GraphError,
@@ -19,7 +20,7 @@ from indcert.graphs import (
     grid,
     make_graph,
 )
-from indcert.verify import random_graph
+from indcert.verify import VERIFY_FAMILIES, expected_shape, family_graph, random_graph
 
 
 def test_known_grid_values():
@@ -42,18 +43,55 @@ def test_looped_vertices_are_dropped():
     assert chi_reduced(g, method="enumerate") == 0
 
 
+def _random_test_graph(rng, max_n):
+    """A random graph with some looped and some isolated vertices."""
+    g = random_graph(rng, max_n)
+    names = list(g.vertices) + [f"iso{k}" for k in range(rng.randrange(3))]
+    loops = rng.sample(names, rng.randrange(min(3, len(names)) + 1))
+    return make_graph(names, sorted(g.edges), loops)
+
+
 def test_methods_agree_on_random_graphs():
     rng = random.Random(3)
-    for _ in range(60):
-        g = random_graph(rng, 12)
-        assert chi_reduced_enumerate(g) == chi_reduced_recursive(g)
+    for i in range(600):
+        g = _random_test_graph(rng, 10)
+        if i % 3 == 0:
+            g = g.disjoint_union(_random_test_graph(rng, 8), suffix="_r")
+        assert chi_reduced_enumerate(g) == chi_reduced_recursive(g), g.to_json()
+
+
+def test_dp_matches_the_declared_shapes_up_to_the_sweep_bounds():
+    bounds = {"C1": 28, "C2": 28, "M2": 28, "C3": 20, "M3": 20, "CH1": 24}
+    assert set(bounds) == set(VERIFY_FAMILIES)
+    for family, n_max in bounds.items():
+        for n in range(1, n_max + 1):
+            want = expected_shape(family, n).chi_reduced()
+            assert chi_reduced_recursive(family_graph(family, n)) == want, (family, n)
+
+
+def test_dp_has_no_depth_limit():
+    # I(P_3000) is homotopy equivalent to S^999
+    assert chi_reduced_recursive(grid(1, 3000)) == -1
+
+
+def test_independent_set_masks_preorder():
+    g = make_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    verts, masks = independent_set_masks(g)
+    assert verts == ["a", "b", "c", "d"]
+    # {}, {a}, {a,c}, {a,d}, {b}, {b,d}, {c}, {d}
+    assert masks == [0b0000, 0b0001, 0b0101, 0b1001, 0b0010, 0b1010, 0b0100, 0b1000]
+
+
+def test_independent_set_masks_stop_at_the_budget_not_the_recursion_limit():
+    with pytest.raises(FaceBudgetExceeded):
+        independent_set_masks(grid(1, 3000))
 
 
 def test_enumerate_budget():
     g = make_graph([f"v{i}" for i in range(25)])
     with pytest.raises(FaceBudgetExceeded):
         chi_reduced(g, method="enumerate", budget=1000)
-    # the recursion has no budget
+    # the DP has no budget
     assert chi_reduced(g, method="recursive") == 0
 
 
@@ -106,7 +144,9 @@ def test_closed_form_values():
 
 def test_closed_form_matches_enumeration():
     for n in range(1, 8):
-        assert chi_four_row_grid(n) == chi_reduced(grid(4, n))
+        assert chi_four_row_grid(n) == chi_reduced(grid(4, n), method="enumerate", budget=None)
+    for n in range(1, 301):
+        assert chi_four_row_grid(n) == chi_reduced_recursive(grid(4, n)), n
 
 
 def test_corner_trimmed_base_values_and_flip():
