@@ -32,7 +32,7 @@ from .complexes import (
     join,
     sphere,
 )
-from .homology import BettiProfile, reduced_betti
+from .homology import graph_betti
 from .moves import (
     Certificate,
     OpStep,
@@ -52,7 +52,6 @@ from .verify import (
     WedgeShape,
     expected_shape,
     run_suite,
-    shape_suspend,
     verify_appendix,
     verify_case,
 )

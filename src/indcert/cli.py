@@ -64,8 +64,7 @@ def _cmd_chi(args) -> int:
 def _cmd_betti(args) -> int:
     g = _load_graph(args.graph)
     k = complexes.independence_complex(g, budget=args.budget)
-    profile = homology.reduced_betti(k, args.p)
-    for dim, val in profile.nonzero():
+    for dim, val in homology.betti_profiles(k, (args.p,))[args.p]:
         print(f"{dim}:{val}")
     return EXIT_PASS
 
@@ -80,8 +79,7 @@ def _cmd_complex(args) -> int:
 
 def _cmd_replay(args) -> int:
     cert = moves.certificate_from_json(_read_text(args.certificate))
-    checks = {"chi": "chi", "betti": "chi+betti"}[args.check]
-    report = moves.replay(cert, checks=checks, budget=args.budget)
+    report = moves.replay(cert, checks=args.check, budget=args.budget)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -90,6 +88,7 @@ def _cmd_replay(args) -> int:
             ok = "ok" if s.precondition_ok else f"FAIL ({s.reason})"
             print(f"step {s.index}: {s.step.describe()} [{s.direction}] {ok}{chi}")
         print(f"{report.certificate}: {'PASS' if report.passed else 'FAIL'}"
+              + (" betti=skipped" if report.betti_skipped else "")
               + ("" if report.passed else f" ({report.failure}: {report.failure_detail})"))
     if report.passed:
         return EXIT_PASS
@@ -178,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="replay a certificate file")
     p.add_argument("certificate")
-    p.add_argument("--check", choices=("chi", "betti"), default="chi")
+    p.add_argument("--check", choices=moves.CHECK_LEVELS, default="chi",
+                   help="betti: also the GF(2) Betti profile, where --budget allows")
     p.add_argument("--budget", type=int, default=euler.DEFAULT_FACE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_replay)

@@ -14,7 +14,6 @@ complex equals the independence complex of the edited graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .euler import DEFAULT_FACE_BUDGET, independent_set_masks
 from .graphs import Graph, GraphError
@@ -32,10 +31,6 @@ class SimplicialComplex:
 
     def n_faces(self) -> int:
         return len(self.face_masks)
-
-    @cached_property
-    def dim(self) -> int:
-        return max(m.bit_count() for m in self.face_masks) - 1
 
     def face_labels(self, mask: int) -> frozenset[str]:
         return frozenset(
@@ -162,12 +157,13 @@ def complexes_equal(k: SimplicialComplex, l: SimplicialComplex) -> bool:
 # Elementary collapse machinery
 
 
-def collapse_core(face_masks, exclude_empty: bool = True) -> set[int]:
+def collapse_core(face_masks) -> set[int]:
     """Greedily remove free pairs (tau, sigma), sigma the unique coface of tau.
 
     Every removal re-checks freeness against the current face set, so the
     result is reachable from the input by genuine elementary collapses and it
-    is again downward closed. Deterministic given the input set.
+    is again downward closed. The empty face is never removed. Deterministic
+    given the input set.
     """
     alive = set(face_masks)
     cofdeg: dict[int, int] = {m: 0 for m in alive}
@@ -180,7 +176,7 @@ def collapse_core(face_masks, exclude_empty: bool = True) -> set[int]:
     from collections import deque
 
     queue = deque(
-        sorted(t for t, c in cofdeg.items() if c == 1 and not (exclude_empty and t == 0))
+        sorted(t for t, c in cofdeg.items() if c == 1 and t != 0)
     )
     all_bits = 0
     for m in alive:
@@ -209,7 +205,7 @@ def collapse_core(face_masks, exclude_empty: bool = True) -> set[int]:
                 facet = parent ^ b
                 if facet in alive:
                     cofdeg[facet] -= 1
-                    if cofdeg[facet] == 1 and not (exclude_empty and facet == 0):
+                    if cofdeg[facet] == 1 and facet != 0:
                         queue.append(facet)
     return alive
 

@@ -1,4 +1,10 @@
-"""Reduced Betti numbers of explicit complexes over prime fields.
+"""Reduced Betti numbers of independence complexes over prime fields.
+
+A profile is the nonzero reduced Betti numbers as (dim, value) pairs, the
+form `WedgeShape.betti()` predicts. `graph_betti` is the one route from a
+graph to Betti evidence for the suites and replay; it returns None when the
+face budget or the elimination budget stops it, and callers report that as
+a skipped check.
 
 Ranks come from Gaussian elimination on the boundary matrices of the
 augmented chain complex (fixed sorted vertex order; the facet obtained by
@@ -10,13 +16,18 @@ every Betti number; the elimination then runs on the small core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+# The benchmark's tracer (perfbench/spans.py) wraps `homology.collapse_core`,
+# `homology.betti_profiles` and `complexes.independence_complex`, so calls
+# look them up through these module attributes.
+from . import complexes
 from .complexes import SimplicialComplex, collapse_core
-from .graphs import GraphError
+from .euler import DEFAULT_FACE_BUDGET, FaceBudgetExceeded
+from .graphs import Graph, GraphError
 
 COLLAPSE_THRESHOLD = 4_000
 MAX_ELIMINATION_COLUMNS = 150_000
+
+Profile = tuple[tuple[int, int], ...]
 
 
 class HomologyBudgetError(RuntimeError):
@@ -32,31 +43,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-@dataclass(frozen=True)
-class BettiProfile:
-    """Reduced Betti numbers indexed from dimension -1 upward."""
-
-    p: int
-    values: tuple[int, ...]
-
-    def get(self, dim: int) -> int:
-        i = dim + 1
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return 0
-
-    def nonzero(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i - 1, v) for i, v in enumerate(self.values) if v
-        )
-
-    def euler_reduced(self) -> int:
-        return sum(v if (i - 1) % 2 == 0 else -v for i, v in enumerate(self.values))
-
-    def shifted(self, k: int) -> "BettiProfile":
-        return BettiProfile(self.p, (0,) * k + self.values)
 
 
 def _rank_gf2(columns: list[int]) -> int:
@@ -98,25 +84,14 @@ def _rank_gfp(columns: list[dict[int, int]], p: int) -> int:
     return rank
 
 
-def reduced_betti(
-    k: SimplicialComplex,
-    p: int = 2,
-    collapse_threshold: int = COLLAPSE_THRESHOLD,
-) -> BettiProfile:
-    return betti_profiles(k, (p,), collapse_threshold)[p]
-
-
-def betti_profiles(
-    k: SimplicialComplex,
-    primes: tuple[int, ...],
-    collapse_threshold: int = COLLAPSE_THRESHOLD,
-) -> dict[int, BettiProfile]:
-    """Profiles over several primes; the collapse preprocessing runs once."""
+def betti_profiles(k: SimplicialComplex, primes: tuple[int, ...]) -> dict[int, Profile]:
+    """The profile of k over each prime; the collapse preprocessing runs once."""
     for p in primes:
         if not is_prime(p):
             raise GraphError(f"{p} is not prime")
     faces = k.face_masks
-    if len(faces) > collapse_threshold:
+    if len(faces) > COLLAPSE_THRESHOLD:
+        # a compact copy: the core set keeps the hash table sized for its input
         faces = frozenset(collapse_core(faces))
     if len(faces) > MAX_ELIMINATION_COLUMNS:
         raise HomologyBudgetError(
@@ -125,7 +100,17 @@ def betti_profiles(
     return {p: _betti_from_faces(faces, p) for p in primes}
 
 
-def _betti_from_faces(faces: frozenset[int], p: int) -> BettiProfile:
+def graph_betti(
+    g: Graph, primes: tuple[int, ...], budget: int | None = DEFAULT_FACE_BUDGET
+) -> dict[int, Profile] | None:
+    """`betti_profiles` of I(g), or None when a budget stops the computation."""
+    try:
+        return betti_profiles(complexes.independence_complex(g, budget=budget), primes)
+    except (FaceBudgetExceeded, HomologyBudgetError):
+        return None
+
+
+def _betti_from_faces(faces: frozenset[int], p: int) -> Profile:
     by_size: dict[int, list[int]] = {}
     for m in faces:
         by_size.setdefault(m.bit_count(), []).append(m)
@@ -168,8 +153,9 @@ def _betti_from_faces(faces: frozenset[int], p: int) -> BettiProfile:
     ranks[0] = 0
     ranks[top + 1] = 0
 
-    values = []
+    profile = []
     for s in range(0, top + 1):
-        dim_count = len(by_size.get(s, []))
-        values.append(dim_count - ranks.get(s, 0) - ranks.get(s + 1, 0))
-    return BettiProfile(p, tuple(values))
+        value = len(by_size.get(s, [])) - ranks.get(s, 0) - ranks.get(s + 1, 0)
+        if value:
+            profile.append((s - 1, value))
+    return tuple(profile)

@@ -11,9 +11,10 @@ A step is one of:
 
 "Isolated" means the witness survives the deletion, carries no loop, and has
 no incident edge there. A certificate is an ordered, replayable step list with
-a declared final graph; replay checks every precondition and, on request, that
-the reduced Euler characteristic (and Betti profile) is unchanged by every
-step.
+a declared final graph; replay checks every precondition and that every step
+leaves the reduced Euler characteristic unchanged ("chi"), and at the "betti"
+level also the GF(2) Betti profile from `homology.graph_betti`, wherever the
+budget allows it.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def certificate_from_json(text: str) -> Certificate:
 # Replay
 
 
-CHECK_LEVELS = ("none", "chi", "chi+betti")
+CHECK_LEVELS = ("chi", "betti")
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,9 @@ class ReplayReport:
     failure_detail: str
     steps: tuple[StepReport, ...]
     final_matches: bool
+    # True when a budget stopped the Betti profile of some replayed graph, so
+    # the steps around it were checked by chi~ alone.
+    betti_skipped: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,6 +246,7 @@ class ReplayReport:
             "failure": self.failure,
             "failure_detail": self.failure_detail,
             "final_matches": self.final_matches,
+            "betti_skipped": self.betti_skipped,
             "steps": [
                 {
                     "index": s.index,
@@ -264,20 +269,27 @@ def replay(
 ) -> ReplayReport:
     """Fold the certificate's steps over its initial graph.
 
-    With chi checking, every step must leave the reduced Euler characteristic
-    unchanged; with betti checking, the GF(2) Betti profile as well (subject
-    to the face budget). Finally the result must equal the declared final
-    graph label-for-label.
+    Every step must leave the reduced Euler characteristic unchanged; with
+    checks="betti", the GF(2) Betti profile as well, where the budget allows
+    computing it on both sides (`betti_skipped` says where it did not).
+    Finally the result must equal the declared final graph label-for-label.
     """
     if checks not in CHECK_LEVELS:
         raise ValueError(f"unknown check level {checks!r}")
-    g = cert.initial_graph()
-    want_chi = checks in ("chi", "chi+betti")
-    want_betti = checks == "chi+betti"
-    chi = euler.chi_reduced_recursive(g) if want_chi else None
-    betti = _betti_or_none(g, budget) if want_betti else None
+    from .homology import graph_betti  # deferred: homology -> complexes -> moves
 
+    want_betti = checks == "betti"
+    g = cert.initial_graph()
+    chi = euler.chi_reduced_recursive(g)
+    betti = graph_betti(g, (2,), budget) if want_betti else None
+    skipped = want_betti and betti is None
     reports: list[StepReport] = []
+
+    def stop(failure: str, detail: str) -> ReplayReport:
+        return ReplayReport(
+            cert.name, False, failure, detail, tuple(reports), False, skipped
+        )
+
     for i, step in enumerate(cert.steps):
         try:
             check = check_step(g, step)
@@ -287,49 +299,26 @@ def replay(
             reports.append(
                 StepReport(i, step, step_direction(step), False, check.reason)
             )
-            return ReplayReport(
-                cert.name, False, "precondition",
-                f"step {i} {step.describe()}: {check.reason}",
-                tuple(reports), False,
-            )
+            return stop("precondition", f"step {i} {step.describe()}: {check.reason}")
         g2 = apply_step(g, step)
-        chi2 = euler.chi_reduced_recursive(g2) if want_chi else None
+        chi2 = euler.chi_reduced_recursive(g2)
         reports.append(
             StepReport(i, step, step_direction(step), True, "", chi, chi2)
         )
-        if want_chi and chi2 != chi:
-            return ReplayReport(
-                cert.name, False, "invariant",
-                f"step {i} {step.describe()}: chi~ changed {chi} -> {chi2}",
-                tuple(reports), False,
+        if chi2 != chi:
+            return stop(
+                "invariant", f"step {i} {step.describe()}: chi~ changed {chi} -> {chi2}"
             )
         if want_betti:
-            betti2 = _betti_or_none(g2, budget)
+            betti2 = graph_betti(g2, (2,), budget)
+            skipped = skipped or betti2 is None
             if betti is not None and betti2 is not None and betti != betti2:
-                return ReplayReport(
-                    cert.name, False, "invariant",
-                    f"step {i} {step.describe()}: GF(2) Betti profile changed",
-                    tuple(reports), False,
+                return stop(
+                    "invariant", f"step {i} {step.describe()}: GF(2) Betti profile changed"
                 )
             betti = betti2
         g, chi = g2, chi2
 
-    ok = graphs_equal_labeled(g, cert.expected_final)
-    if not ok:
-        return ReplayReport(
-            cert.name, False, "final_mismatch",
-            "replayed graph differs from the declared final graph",
-            tuple(reports), False,
-        )
-    return ReplayReport(cert.name, True, None, "", tuple(reports), True)
-
-
-def _betti_or_none(g: Graph, budget: int | None):
-    from . import complexes, homology  # deferred: homology builds on complexes
-
-    try:
-        k = complexes.independence_complex(g, budget=budget)
-        profile = homology.reduced_betti(k, 2)
-    except euler.FaceBudgetExceeded:
-        return None
-    return tuple(profile.nonzero())
+    if not graphs_equal_labeled(g, cert.expected_final):
+        return stop("final_mismatch", "replayed graph differs from the declared final graph")
+    return ReplayReport(cert.name, True, None, "", tuple(reports), True, skipped)

@@ -34,6 +34,14 @@ def test_exit_0_on_success(tmp_path, capsys):
     assert cli.main(["replay", cert]) == cli.EXIT_PASS
 
 
+def test_replay_summary_says_when_betti_was_skipped(tmp_path, capsys):
+    cert = write(tmp_path, "cert.json", certificate(VALID_STEP, BC_EDGE))
+    assert cli.main(["replay", cert, "--check", "betti"]) == cli.EXIT_PASS
+    assert capsys.readouterr().out.splitlines()[-1] == "demo: PASS"
+    assert cli.main(["replay", cert, "--check", "betti", "--budget", "1"]) == cli.EXIT_PASS
+    assert capsys.readouterr().out.splitlines()[-1] == "demo: PASS betti=skipped"
+
+
 def test_exit_1_on_verification_failure(tmp_path):
     cert = write(tmp_path, "cert.json", certificate(VALID_STEP, {"vertices": ["b", "c"]}))
     assert cli.main(["replay", cert]) == cli.EXIT_VERIFY_FAIL

@@ -120,10 +120,15 @@ def test_replay_passes_and_checks_chi():
         ),
         final,
     )
-    report = replay(cert, checks="chi+betti")
-    assert report.passed
+    report = replay(cert, checks="betti")
+    assert report.passed and not report.betti_skipped
     chis = {s.chi_after for s in report.steps}
     assert len(chis) == 1
+    # a face budget of one stops every Betti profile; chi~ still checks each step
+    stopped = replay(cert, checks="betti", budget=1)
+    assert stopped.passed and stopped.betti_skipped
+    assert stopped.to_json_dict()["betti_skipped"] is True
+    assert [s.chi_after for s in stopped.steps] == [s.chi_after for s in report.steps]
 
 
 def test_replay_reordered_steps_fails_at_first_broken_step():

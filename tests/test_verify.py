@@ -1,3 +1,5 @@
+import random
+
 from indcert import certificates, verify
 
 
@@ -12,3 +14,12 @@ def test_oracle_budget_stop_is_reported_as_skipped():
     assert row.passed and row.betti_skipped
     assert row.detail == "stopped at step 0: face budget"
     assert "betti=skipped" in row.line()
+
+
+def test_replacement_rows_say_when_a_budget_stopped_betti():
+    rows = verify.replacement_suite(random.Random(5), per_rule=2)
+    assert all(r.passed and not r.betti_skipped for r in rows)
+    rows = verify.replacement_suite(random.Random(5), per_rule=2, budget=1)
+    assert len(rows) == 3
+    assert all(r.passed and r.betti_skipped for r in rows)
+    assert all("betti=skipped" in r.line() for r in rows)
