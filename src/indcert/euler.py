@@ -6,8 +6,9 @@ polynomial at -1; on grids it is the transfer matrix of hard squares at
 activity -1. It is iterative, so no recursion limit applies, and its cost is
 exponential only in the width of the frontier. `chi_reduced_enumerate` is
 the independent oracle: the signed sum over the independent sets that
-`independent_set_masks` enumerates. The two must agree. Everything is exact
-integer arithmetic.
+`independent_set_masks` enumerates. The two must agree. The same sweep at
+activity 1 is `count_faces`, which the Betti route's face budget reads.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class FaceBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def _adjacency_masks(g: Graph) -> tuple[list[str], list[int]]:
+def adjacency_masks(g: Graph) -> tuple[list[str], list[int]]:
     """Vertex order (sorted, loops dropped) and adjacency bitmasks."""
     verts = sorted(v for v in g.vertices if v not in g.loops)
     index = {v: i for i, v in enumerate(verts)}
@@ -44,7 +45,7 @@ def independent_set_masks(g: Graph, budget: int | None = DEFAULT_FACE_BUDGET):
     The search keeps, per depth d, the set `cur[d]` it has built and the
     vertices `cand[d]` it may still add there, so its depth is bounded by the
     graph and not by the interpreter's recursion limit."""
-    verts, adj = _adjacency_masks(g)
+    verts, adj = adjacency_masks(g)
     n = len(verts)
     cur = [0] * (n + 1)
     cand = [0] * (n + 1)
@@ -108,20 +109,24 @@ def _next_vertex(active: int, unprocessed: int, adj: list[int]) -> int:
     return best
 
 
-def chi_reduced_recursive(g: Graph) -> int:
-    """chi~ of I(g) by a frontier (transfer-matrix) sweep; the name is kept
-    for callers and for the benchmark's tracer, which wraps it by name.
+def _frontier_sum(g: Graph, take: int, limit: int | None = None) -> int:
+    """The sum over the independent sets S of g of take^|S|, by a frontier
+    (transfer-matrix) sweep, for take = -1 (-chi~ of I(g)) or take = 1 (the
+    number of faces of I(g), the empty face counted).
 
     The vertices are processed one at a time in the order of `_next_vertex`.
     A state is the set of chosen vertices among the active ones (processed,
-    with an unprocessed neighbour left), and its weight is the signed count
-    sum (-1)^|S| over the independent sets S of the processed vertices that
-    meet the active set in it. A vertex is skipped, or taken with the sign
-    negated when the state holds none of its neighbours; then the vertices
-    with no unprocessed neighbour left retire and equal states merge. The
-    sweep is iterative, so its depth is not limited; chi~ = -(sum of the
-    weights)."""
-    verts, adj = _adjacency_masks(g)
+    with an unprocessed neighbour left), and its weight is the sum of
+    take^|S| over the independent sets S of the processed vertices that meet
+    the active set in it. A vertex is skipped, or taken with the weight
+    multiplied by `take` when the state holds none of its neighbours; then
+    the vertices with no unprocessed neighbour left retire and equal states
+    merge. The sweep is iterative, so its depth is not limited.
+
+    With take = 1 the total only grows as vertices are processed, so once it
+    passes `limit` the sweep stops and returns that partial total: a number
+    greater than `limit`, not the count."""
+    verts, adj = adjacency_masks(g)
     unprocessed = (1 << len(verts)) - 1
     # component starts: least degree first, then lowest index (sorted is stable)
     starts = iter(sorted(range(len(verts)), key=lambda u: adj[u].bit_count()))
@@ -142,14 +147,41 @@ def chi_reduced_recursive(g: Graph) -> int:
             if not adj[b.bit_length() - 1] & unprocessed:
                 active ^= b
         merged: dict[int, int] = {}
-        for s, w in states.items():
-            t = s & active
-            merged[t] = merged.get(t, 0) + w
-            if not s & nbrs:
-                t = (s | vb) & active
-                merged[t] = merged.get(t, 0) - w
-        states = {s: w for s, w in merged.items() if w}
-    return -sum(states.values())
+        # the hot loop: the sign is chosen outside it, not per state
+        if take < 0:
+            for s, w in states.items():
+                t = s & active
+                merged[t] = merged.get(t, 0) + w
+                if not s & nbrs:
+                    t = (s | vb) & active
+                    merged[t] = merged.get(t, 0) - w
+            states = {s: w for s, w in merged.items() if w}
+        else:
+            for s, w in states.items():
+                t = s & active
+                merged[t] = merged.get(t, 0) + w
+                if not s & nbrs:
+                    t = (s | vb) & active
+                    merged[t] = merged.get(t, 0) + w
+            states = merged     # no weight is zero
+            if limit is not None and sum(states.values()) > limit:
+                break
+    return sum(states.values())
+
+
+def chi_reduced_recursive(g: Graph) -> int:
+    """chi~ of I(g) by the frontier sweep of `_frontier_sum`; the name is kept
+    for callers and for the benchmark's tracer, which wraps it by name."""
+    return -_frontier_sum(g, -1)
+
+
+def count_faces(g: Graph, limit: int | None = None) -> int:
+    """The number of faces of I(g), the empty face counted, by the frontier
+    sweep with unsigned weights. Past `limit` the sweep stops early and
+    returns some number greater than `limit`, which is all a budget check
+    needs; `independent_set_masks` raises FaceBudgetExceeded on the same
+    graphs at the same budget."""
+    return _frontier_sum(g, 1, limit)
 
 
 def chi_reduced(

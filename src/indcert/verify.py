@@ -277,8 +277,8 @@ def replacement_suite(
                 bad.append(f"#{i}: chi {chi_h} != -({chi_g})")
                 continue
             if with_betti:
-                # I(g) is a subcomplex of I(h), so a budget stops h first: when
-                # it does, g is not enumerated in vain
+                # I(g) is a subcomplex of I(h), so h has at least as many
+                # faces and a budget stops h first: g is then not counted
                 bh = homology.graph_betti(h, (2,), budget)
                 bg = homology.graph_betti(g, (2,), budget) if bh is not None else None
                 if bg is None:
@@ -494,6 +494,13 @@ class SuiteConfig:
 _INT_KEYS = {f.name for f in fields(SuiteConfig) if isinstance(f.default, int)}
 
 
+def _config_int(lineno: int, key: str, val: str) -> int:
+    try:
+        return int(val)
+    except ValueError:
+        raise GraphError(f"line {lineno}: {key} must be an integer, not {val!r}") from None
+
+
 def parse_config(text: str) -> SuiteConfig:
     """Plain-text key/value config: one `key = value` per line, '#' comments."""
     values: dict = {}
@@ -508,9 +515,14 @@ def parse_config(text: str) -> SuiteConfig:
         key = key.strip()
         val = val.strip()
         if key in _INT_KEYS:
-            values[key] = int(val)
+            values[key] = _config_int(lineno, key, val)
         elif key == "primes":
-            values[key] = tuple(int(x) for x in val.replace(",", " ").split())
+            primes = tuple(_config_int(lineno, key, x) for x in val.replace(",", " ").split())
+            try:
+                homology.check_primes(primes)
+            except GraphError as exc:
+                raise GraphError(f"line {lineno}: primes: {exc}") from None
+            values[key] = primes
         elif key == "checks":
             if val not in ("chi", "betti"):
                 raise GraphError(f"line {lineno}: checks must be chi or betti")

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from indcert import cli, verify
-from indcert.graphs import grid
+from indcert.graphs import cylinder, grid
 
 
 def write(tmp_path, name, doc):
@@ -73,6 +73,35 @@ def test_exit_3_when_the_complex_exceeds_the_face_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: face budget") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_betti_of_the_three_row_cylinder(tmp_path, capsys, p):
+    # I(C3 4) is a wedge of three 2-spheres
+    g = write(tmp_path, "g.json", cylinder(3, 4).to_json())
+    assert cli.main(["betti", g, "--p", p]) == cli.EXIT_PASS
+    assert capsys.readouterr().out == "2:3\n"
+
+
+def test_betti_exits_3_over_the_face_budget(tmp_path, capsys):
+    g = write(tmp_path, "g.json", cylinder(3, 4).to_json())
+    assert cli.main(["betti", g, "--budget", "10"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: face budget of 10 faces exceeded\n"
+
+
+def test_betti_exits_3_on_a_non_prime(tmp_path, capsys):
+    g = write(tmp_path, "g.json", cylinder(3, 4).to_json())
+    assert cli.main(["betti", g, "--p", "4"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: 4 is not prime\n"
+
+
+def test_verify_exits_3_on_a_non_prime_even_when_the_budget_skips_betti(tmp_path, capsys):
+    config = write(tmp_path, "suite.conf", "c1_max = 5\nprimes = 4\n")
+    argv = ["verify", "corollaries", "--config", config, "--budget", "10"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: line 2: primes: 4 is not prime\n"
 
 
 def test_exit_3_when_the_input_is_too_deeply_nested(tmp_path, capsys):

@@ -21,6 +21,7 @@ from indcert.graphs import (
     make_graph,
 )
 from indcert.verify import VERIFY_FAMILIES, expected_shape, family_graph, random_graph
+from randgraphs import random_test_graphs
 
 
 def test_known_grid_values():
@@ -43,20 +44,8 @@ def test_looped_vertices_are_dropped():
     assert chi_reduced(g, method="enumerate") == 0
 
 
-def _random_test_graph(rng, max_n):
-    """A random graph with some looped and some isolated vertices."""
-    g = random_graph(rng, max_n)
-    names = list(g.vertices) + [f"iso{k}" for k in range(rng.randrange(3))]
-    loops = rng.sample(names, rng.randrange(min(3, len(names)) + 1))
-    return make_graph(names, sorted(g.edges), loops)
-
-
 def test_methods_agree_on_random_graphs():
-    rng = random.Random(3)
-    for i in range(600):
-        g = _random_test_graph(rng, 10)
-        if i % 3 == 0:
-            g = g.disjoint_union(_random_test_graph(rng, 8), suffix="_r")
+    for g in random_test_graphs(3, 600, 10, 8):
         assert chi_reduced_enumerate(g) == chi_reduced_recursive(g), g.to_json()
 
 
