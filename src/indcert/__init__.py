@@ -23,15 +23,7 @@ from .euler import (
     chi_reduced,
     edge_deletion_identity,
 )
-from .complexes import (
-    SimplicialComplex,
-    collapse_oracle,
-    complexes_equal,
-    f_vector,
-    independence_complex,
-    join,
-    sphere,
-)
+from .complexes import SimplicialComplex, collapse_oracle, independence_complex
 from .homology import graph_betti
 from .moves import (
     Certificate,

@@ -47,6 +47,16 @@ PATCH_ROLES = (PATCH_EDGE, PATCH_P22, PATCH_P32)
 ROLE_FOR_RULE = {"thm1": PATCH_EDGE, "thm2": PATCH_P22, "thm3": PATCH_P32}
 SUSPENSION_COUNT = {"thm1": 1, "thm2": 1, "thm3": 3}
 
+# The edges each patch role requires, as index pairs into its labels (u, v),
+# (a, ā, b, b̄) and (a1, a2, a3, b1, b2, b3). Every label lies on one, so the
+# table also fixes the label count. The last p22 pair is the vertical a-ā,
+# which relaxed mode leaves optional.
+PATCH_EDGES = {
+    PATCH_EDGE: ((0, 1),),
+    PATCH_P22: ((2, 3), (0, 2), (1, 3), (0, 1)),
+    PATCH_P32: ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)),
+}
+
 
 class PatchError(GraphError):
     """The marked patch does not validate against the host graph."""
@@ -61,7 +71,7 @@ class MarkedPatch:
     def __post_init__(self):
         if self.role not in PATCH_ROLES:
             raise GraphError(f"unknown patch role {self.role!r}")
-        need = {PATCH_EDGE: 2, PATCH_P22: 4, PATCH_P32: 6}[self.role]
+        need = 1 + max(max(pair) for pair in PATCH_EDGES[self.role])
         if len(self.labels) != need:
             raise GraphError(f"{self.role} patch needs {need} labels")
         if len(set(self.labels)) != need:
@@ -69,52 +79,33 @@ class MarkedPatch:
         if self.relaxed and self.role != PATCH_P22:
             raise GraphError("relaxed mode applies to p22 patches only")
 
-
-def _require_simple_patch(g: Graph, labels: tuple[str, ...]):
-    for v in labels:
-        if v not in g.vertex_set:
-            raise PatchError(f"patch label {v!r} is not a vertex")
-        if v in g.loops:
-            raise PatchError(f"patch vertex {v!r} carries a loop")
-
-
-def _check_induced(g: Graph, required: set, optional: set, labels):
-    for a, b in required:
-        if not g.has_edge(a, b):
-            raise PatchError(f"patch edge {a}-{b} is missing")
-    allowed = {sorted_pair(a, b) for a, b in required | optional}
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            e = sorted_pair(a, b)
-            if e in g.edges and e not in allowed:
-                raise PatchError(f"host has an extra induced edge {a}-{b}")
+    def edges(self) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+        """The (required, optional) patch edges as label pairs."""
+        pairs = [(self.labels[i], self.labels[j]) for i, j in PATCH_EDGES[self.role]]
+        if self.relaxed:
+            return pairs[:-1], pairs[-1:]
+        return pairs, []
 
 
 def validate_patch(g: Graph, patch: MarkedPatch) -> None:
     """Raise PatchError unless the induced subgraph on the patch labels is
     exactly the required grid piece (relaxed p22: a-ā optional)."""
-    _require_simple_patch(g, patch.labels)
-    if patch.role == PATCH_EDGE:
-        u, v = patch.labels
-        if not g.has_edge(u, v):
-            raise PatchError(f"patch edge {u}-{v} is missing")
-        return
-    if patch.role == PATCH_P22:
-        a, abar, b, bbar = patch.labels
-        required = {(b, bbar), (a, b), (abar, bbar)}
-        optional = set()
-        if patch.relaxed:
-            optional = {(a, abar)}
-        else:
-            required.add((a, abar))
-        _check_induced(g, required, optional, patch.labels)
-        return
-    a1, a2, a3, b1, b2, b3 = patch.labels
-    required = {
-        (a1, a2), (a2, a3), (b1, b2), (b2, b3),
-        (a1, b1), (a2, b2), (a3, b3),
-    }
-    _check_induced(g, required, set(), patch.labels)
+    labels = patch.labels
+    for v in labels:
+        if v not in g.vertex_set:
+            raise PatchError(f"patch label {v!r} is not a vertex")
+        if v in g.loops:
+            raise PatchError(f"patch vertex {v!r} carries a loop")
+    required, optional = patch.edges()
+    for a, b in required:
+        if not g.has_edge(a, b):
+            raise PatchError(f"patch edge {a}-{b} is missing")
+    allowed = {sorted_pair(a, b) for a, b in required + optional}
+    for i, a in enumerate(labels):
+        for b in labels[i + 1:]:
+            e = sorted_pair(a, b)
+            if e in g.edges and e not in allowed:
+                raise PatchError(f"host has an extra induced edge {a}-{b}")
 
 
 def _fresh_labels(g: Graph, names: list[str]) -> list[str]:
@@ -570,35 +561,25 @@ def builtin_certificate(cert_id: str, n: int | None = None) -> Certificate:
 # Random hosts for the replacement property suite
 
 
-def random_host(
-    rule: str, rng: random.Random, max_extra: int = 10
-) -> tuple[Graph, MarkedPatch]:
+_HOST_LABELS = {
+    "thm1": ("pu", "pv"),
+    "thm2": ("pa", "pab", "pb", "pbb"),
+    "thm3": ("pa1", "pa2", "pa3", "pb1", "pb2", "pb3"),
+}
+
+
+def random_host(rule: str, rng: random.Random) -> tuple[Graph, MarkedPatch]:
     """A random host whose patch is a genuine full subgraph: extra vertices
     attach only to patch vertices and to each other, never inside the patch."""
-    if rule == "thm1":
-        labels = ("pu", "pv")
-        edges = [("pu", "pv")]
-        patch = MarkedPatch(PATCH_EDGE, labels)
-    elif rule == "thm2":
-        labels = ("pa", "pab", "pb", "pbb")
-        relaxed = rng.random() < 0.3
-        edges = [("pb", "pbb"), ("pa", "pb"), ("pab", "pbb")]
-        if not relaxed:
-            edges.append(("pa", "pab"))
-        patch = MarkedPatch(PATCH_P22, labels, relaxed=relaxed)
-    elif rule == "thm3":
-        labels = ("pa1", "pa2", "pa3", "pb1", "pb2", "pb3")
-        edges = [
-            ("pa1", "pa2"), ("pa2", "pa3"), ("pb1", "pb2"), ("pb2", "pb3"),
-            ("pa1", "pb1"), ("pa2", "pb2"), ("pa3", "pb3"),
-        ]
-        patch = MarkedPatch(PATCH_P32, labels)
-    else:
+    if rule not in _HOST_LABELS:
         raise GraphError(f"unknown rule {rule!r}")
+    labels = _HOST_LABELS[rule]
+    relaxed = rule == "thm2" and rng.random() < 0.3
+    patch = MarkedPatch(ROLE_FOR_RULE[rule], labels, relaxed=relaxed)
+    all_edges, _ = patch.edges()
 
-    k = rng.randint(0, max_extra)
+    k = rng.randint(0, 10)
     extras = [f"h{i}" for i in range(k)]
-    all_edges = list(edges)
     for i, e in enumerate(extras):
         for p in labels:
             if rng.random() < 0.35:

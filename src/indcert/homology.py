@@ -17,16 +17,22 @@ after large complexes are shrunk by the verified greedy elementary-collapse
 reduction (`collapse_core`), which preserves every Betti number. Both routes
 use the fixed sorted vertex order, where the facet obtained by dropping the
 i-th smallest vertex carries sign (-1)^i, which only matters for odd primes.
+
+The benchmark's tracer (perfbench/spans.py) wraps `homology.collapse_core`
+and `homology.betti_profiles`, so calls look them up through these module
+attributes.
 """
 
 from __future__ import annotations
 
-# The benchmark's tracer (perfbench/spans.py) wraps `homology.collapse_core`
-# and `homology.betti_profiles`, so calls look them up through these module
-# attributes.
-from .complexes import SimplicialComplex, collapse_core
+from collections import deque
+from typing import TYPE_CHECKING
+
 from .euler import DEFAULT_FACE_BUDGET, adjacency_masks, count_faces
 from .graphs import Graph, GraphError
+
+if TYPE_CHECKING:
+    from .complexes import SimplicialComplex
 
 COLLAPSE_THRESHOLD = 4_000
 MAX_ELIMINATION_COLUMNS = 150_000
@@ -88,6 +94,57 @@ def _rank_gfp(columns: list[dict[int, int]], p: int) -> int:
     return rank
 
 
+def collapse_core(face_masks) -> set[int]:
+    """Greedily remove free pairs (tau, sigma), sigma the unique coface of tau.
+
+    Every removal re-checks freeness against the current face set, so the
+    result is reachable from the input by genuine elementary collapses and it
+    is again downward closed. The empty face is never removed. Deterministic
+    given the input set.
+    """
+    alive = set(face_masks)
+    cofdeg: dict[int, int] = {m: 0 for m in alive}
+    for m in alive:
+        mm = m
+        while mm:
+            b = mm & -mm
+            mm ^= b
+            cofdeg[m ^ b] += 1
+    queue = deque(
+        sorted(t for t, c in cofdeg.items() if c == 1 and t != 0)
+    )
+    all_bits = 0
+    for m in alive:
+        all_bits |= m
+    while queue:
+        tau = queue.popleft()
+        if tau not in alive or cofdeg[tau] != 1:
+            continue
+        sigma = -1
+        m = all_bits & ~tau
+        while m:
+            b = m & -m
+            m ^= b
+            if (tau | b) in alive:
+                sigma = tau | b
+                break
+        if sigma < 0:
+            continue
+        alive.discard(tau)
+        alive.discard(sigma)
+        for parent in (sigma, tau):
+            mm = parent
+            while mm:
+                b = mm & -mm
+                mm ^= b
+                facet = parent ^ b
+                if facet in alive:
+                    cofdeg[facet] -= 1
+                    if cofdeg[facet] == 1 and facet != 0:
+                        queue.append(facet)
+    return alive
+
+
 def betti_profiles(k: SimplicialComplex, primes: tuple[int, ...]) -> dict[int, Profile]:
     """The profile of k over each prime; the collapse preprocessing runs once."""
     check_primes(primes)
@@ -103,6 +160,8 @@ def betti_profiles(k: SimplicialComplex, primes: tuple[int, ...]) -> dict[int, P
 
 
 def check_primes(primes: tuple[int, ...]) -> None:
+    if not primes:
+        raise GraphError("no prime given")
     for p in primes:
         if not is_prime(p):
             raise GraphError(f"{p} is not prime")
@@ -134,11 +193,7 @@ def graph_betti(
         row_of = {cell: i for i, cell in enumerate(rows)}
         columns = [_morse_column(tree, cell, row_of, memo) for cell in crit[s]]
         for p in primes:
-            if p == 2:
-                bits = [sum(1 << r for r, v in col.items() if v % 2) for col in columns]
-                ranks[p, s] = _rank_gf2(bits)
-            else:
-                ranks[p, s] = _rank_gfp(columns, p)
+            ranks[p, s] = _rank_gfp(columns, p)
     out = {}
     for p in primes:
         profile = []

@@ -14,7 +14,8 @@ no incident edge there. A certificate is an ordered, replayable step list with
 a declared final graph; replay checks every precondition and that every step
 leaves the reduced Euler characteristic unchanged ("chi"), and at the "betti"
 level also the GF(2) Betti profile from `homology.graph_betti`, wherever the
-budget allows it.
+budget allows it. The face-level check of a single move is
+`complexes.collapse_oracle`, which builds on this module.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .graphs import (
     is_label_pair,
     sorted_pair,
 )
+from .homology import graph_betti
 
 DEL_VERTEX = "del_vertex"
 DEL_EDGE = "del_edge"
@@ -276,8 +278,6 @@ def replay(
     """
     if checks not in CHECK_LEVELS:
         raise ValueError(f"unknown check level {checks!r}")
-    from .homology import graph_betti  # deferred: homology -> complexes -> moves
-
     want_betti = checks == "betti"
     g = cert.initial_graph()
     chi = euler.chi_reduced_recursive(g)

@@ -104,6 +104,11 @@ def test_verify_exits_3_on_a_non_prime_even_when_the_budget_skips_betti(tmp_path
     assert capsys.readouterr().err == "error: line 2: primes: 4 is not prime\n"
 
 
+def test_selftest_reports_a_collapse_oracle_budget_stop_as_skipped(capsys):
+    assert cli.main(["selftest", "--budget", "5"]) == cli.EXIT_PASS
+    assert "collapse oracle x200 PASS betti=skipped" in capsys.readouterr().out.splitlines()
+
+
 def test_exit_3_when_the_input_is_too_deeply_nested(tmp_path, capsys):
     # json raises RecursionError on this document
     g = write(tmp_path, "nested.json", "[" * 100000)

@@ -3,13 +3,7 @@ import random
 import pytest
 
 from indcert import homology
-from indcert.complexes import (
-    collapse_core,
-    independence_complex,
-    join,
-    point_pair,
-    sphere,
-)
+from indcert.complexes import independence_complex
 from indcert.euler import FaceBudgetExceeded, adjacency_masks, chi_reduced, count_faces
 from indcert.graphs import GraphError, cylinder, make_graph, moebius
 from indcert.homology import (
@@ -17,6 +11,7 @@ from indcert.homology import (
     _betti_from_faces,
     _flow,
     betti_profiles,
+    collapse_core,
     graph_betti,
 )
 from indcert.verify import (
@@ -34,6 +29,19 @@ from randgraphs import random_test_graphs
 
 def betti(k, p=2):
     return betti_profiles(k, (p,))[p]
+
+
+def edge():
+    return make_graph(["a", "b"], [("a", "b")])
+
+
+def sphere(n):
+    """The n-sphere as I(n+1 disjoint edges), the join of n+1 point pairs;
+    n = -1 gives the complex whose only face is the empty face."""
+    g = make_graph([])
+    for i in range(n + 1):
+        g = g.disjoint_union(edge(), suffix=f"{i}")
+    return independence_complex(g)
 
 
 def test_two_sphere():
@@ -68,7 +76,8 @@ def test_suspension_shifts_profile():
     for _ in range(10):
         g = random_graph(rng, 7)
         k = independence_complex(g)
-        sk = join(k, point_pair("sa", "sb"))
+        # I(g ⊔ K2) is the suspension of I(g)
+        sk = independence_complex(g.disjoint_union(edge()))
         assert betti(sk) == tuple((d + 1, v) for d, v in betti(k))
 
 
@@ -183,6 +192,11 @@ def test_graph_betti_matches_every_corollary_shape_without_a_budget():
             want = expected_shape(family, n).betti()
             got = graph_betti(family_graph(family, n), (2, 3), budget=None)
             assert got == {2: want, 3: want}, (family, n)
+
+
+def test_empty_primes_rejected():
+    with pytest.raises(GraphError, match="no prime given"):
+        graph_betti(cylinder(2, 4), ())
 
 
 def test_non_prime_rejected_before_the_budget_stops_betti():

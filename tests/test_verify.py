@@ -19,6 +19,14 @@ def test_oracle_budget_stop_is_reported_as_skipped():
     assert "betti=skipped" in row.line()
 
 
+def test_random_oracle_budget_stop_is_reported_as_skipped():
+    # the same policy as the builtin oracle rows: the instance counts as done
+    row = verify.oracle_suite(random.Random(1), instances=3, budget=5)
+    assert row.passed and row.betti_skipped and row.detail == ""
+    assert row.line() == "collapse oracle x3 PASS betti=skipped"
+    assert not verify.oracle_suite(random.Random(1), instances=3).betti_skipped
+
+
 def test_replacement_rows_say_when_a_budget_stopped_betti():
     rows = verify.replacement_suite(random.Random(5), per_rule=2)
     assert all(r.passed and not r.betti_skipped for r in rows)
@@ -97,6 +105,7 @@ def test_parse_config_reads_every_kind_of_value():
     ("c1_max = abc\n", "line 1: c1_max must be an integer, not 'abc'"),
     ("\nprimes = 2, x\n", "line 2: primes must be an integer, not 'x'"),
     ("primes = 2, 4\n", "line 1: primes: 4 is not prime"),
+    ("seed = 1\nprimes =\n", "line 2: primes: no prime given"),
     ("checks = all\n", "line 1: checks must be chi or betti"),
 ])
 def test_parse_config_errors_name_the_line(text, message):
