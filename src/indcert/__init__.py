@@ -19,6 +19,7 @@ from .graphs import (
 from .euler import (
     DEFAULT_FACE_BUDGET,
     FaceBudgetExceeded,
+    FrontierBudgetExceeded,
     chi_four_row_grid,
     chi_reduced,
     edge_deletion_identity,

@@ -224,7 +224,10 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (GraphError, euler.FaceBudgetExceeded, OSError, ValueError) as exc:
+    except (
+        GraphError, euler.FaceBudgetExceeded, euler.FrontierBudgetExceeded,
+        OSError, ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

@@ -4,11 +4,14 @@
 (transfer-matrix) sweep over the vertices that evaluates the independence
 polynomial at -1; on grids it is the transfer matrix of hard squares at
 activity -1. It is iterative, so no recursion limit applies, and its cost is
-exponential only in the width of the frontier. `chi_reduced_enumerate` is
-the independent oracle: the signed sum over the independent sets that
-`independent_set_masks` enumerates. The two must agree. The same sweep at
-activity 1 is `count_faces`, which the Betti route's face budget reads.
-Everything is exact integer arithmetic.
+exponential only in the width of the frontier: past MAX_FRONTIER_STATES
+states it raises FrontierBudgetExceeded. `_sweep` picks the vertex order
+greedily, keeping the frontier small, from bitmasks it updates as it goes
+rather than by rescanning the frontier for each candidate.
+`chi_reduced_enumerate` is the independent oracle: the signed sum over the
+independent sets that `independent_set_masks` enumerates. The two must agree.
+The same sweep at activity 1 is `count_faces`, which the Betti route's face
+budget reads. Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -16,11 +19,21 @@ from __future__ import annotations
 from .graphs import Graph, GraphError, sorted_pair
 
 DEFAULT_FACE_BUDGET = 200_000
+# The frontier sweep's state budget. Every suite graph stays below a hundred
+# states. It is above the default face budget, so that `count_faces` stops at
+# that budget before it can reach this one (see there).
+MAX_FRONTIER_STATES = 1 << 18
 
 
 class FaceBudgetExceeded(RuntimeError):
     def __init__(self, budget: int):
         super().__init__(f"face budget of {budget} faces exceeded")
+        self.budget = budget
+
+
+class FrontierBudgetExceeded(RuntimeError):
+    def __init__(self, budget: int):
+        super().__init__(f"frontier sweep exceeded its budget of {budget} states")
         self.budget = budget
 
 
@@ -75,38 +88,69 @@ def chi_reduced_enumerate(g: Graph, budget: int | None = DEFAULT_FACE_BUDGET) ->
     return sum(1 if m.bit_count() % 2 else -1 for m in masks)
 
 
-def _next_vertex(active: int, unprocessed: int, adj: list[int]) -> int:
-    """The sweep's next vertex. Among the unprocessed neighbours of the active
-    set: the one leaving the fewest active vertices, then the one with the
-    most processed neighbours, then the lowest index. -1 when there is none:
-    the active set is empty, and the sweep starts a new component."""
-    cands = 0
-    m = active
-    while m:
-        b = m & -m
-        m ^= b
-        cands |= adj[b.bit_length() - 1]
-    cands &= unprocessed
-    processed = ~unprocessed
-    best, best_key = -1, None
-    while cands:
-        b = cands & -cands
-        cands ^= b
-        v = b.bit_length() - 1
-        rest = unprocessed ^ b
-        # v joins the active set if it keeps an unprocessed neighbour; an
-        # active neighbour of v retires if v was its last one
-        size = active.bit_count() + (1 if adj[v] & rest else 0)
-        m = active & adj[v]
+def _sweep(adj: list[int]):
+    """The frontier sweep's vertex order over the adjacency bitmasks `adj`:
+    yields (v, active) per vertex, where active is the set of processed
+    vertices that keep an unprocessed neighbour once v is processed.
+
+    The next vertex is the unprocessed neighbour of the active set that
+    leaves the fewest active vertices, then the one with the most processed
+    neighbours, then the lowest index. When there is none, the active set is
+    empty and the sweep starts a new component at the unprocessed vertex of
+    least degree, then lowest index.
+
+    The key is kept cheap by two masks carried across the sweep. `border` is
+    the unprocessed neighbours of the active set: a vertex retires only once
+    it has no unprocessed neighbour, so the border only grows by the
+    neighbours of each processed vertex and loses the processed ones. `last`
+    is the active vertices with exactly one unprocessed neighbour left: taking
+    v adds v to the active set when it keeps an unprocessed neighbour and
+    retires exactly its neighbours in `last`. So a candidate's active-set
+    size is |active| + [v keeps an unprocessed neighbour] - |adj[v] & last|,
+    the same count as a rescan of the active set; |active| is the same for
+    every candidate and is left out of the key. Only v and its neighbours
+    change their unprocessed count at a step, so only they are rechecked."""
+    n = len(adj)
+    full = (1 << n) - 1
+    unprocessed = full
+    # component starts: least degree first, then lowest index (sorted is stable)
+    degree = [a.bit_count() for a in adj]
+    starts = iter(sorted(range(n), key=degree.__getitem__))
+    active = border = last = 0
+    while unprocessed:
+        processed = full ^ unprocessed
+        v, best = -1, n + 1     # every key is at most n
+        m = border
         while m:
-            u = m & -m
-            m ^= u
-            if not adj[u.bit_length() - 1] & rest:
-                size -= 1
-        key = (size, -(adj[v] & processed).bit_count())
-        if best_key is None or key < best_key:
-            best, best_key = v, key
-    return best
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            a = adj[u]
+            # the pair (change of the active set's size, -(processed
+            # neighbours)) as one int, as the second is below n; a tie keeps
+            # the lower index
+            key = (((1 if a & unprocessed else 0) - (a & last).bit_count()) * n
+                   - (a & processed).bit_count())
+            if key < best:
+                v, best = u, key
+        if v < 0:
+            v = next(u for u in starts if unprocessed >> u & 1)
+        vb = 1 << v
+        unprocessed ^= vb
+        nbrs = adj[v]
+        active |= vb
+        border = (border | nbrs) & unprocessed
+        m = active & (nbrs | vb)   # only v and its neighbours change here
+        while m:
+            b = m & -m
+            m ^= b
+            left = adj[b.bit_length() - 1] & unprocessed
+            if not left:
+                active ^= b
+            elif not left & (left - 1):
+                last |= b
+        last &= active
+        yield v, active
 
 
 def _frontier_sum(g: Graph, take: int, limit: int | None = None) -> int:
@@ -114,38 +158,24 @@ def _frontier_sum(g: Graph, take: int, limit: int | None = None) -> int:
     (transfer-matrix) sweep, for take = -1 (-chi~ of I(g)) or take = 1 (the
     number of faces of I(g), the empty face counted).
 
-    The vertices are processed one at a time in the order of `_next_vertex`.
-    A state is the set of chosen vertices among the active ones (processed,
+    The vertices are processed one at a time in the order of `_sweep`. A
+    state is the set of chosen vertices among the active ones (processed,
     with an unprocessed neighbour left), and its weight is the sum of
     take^|S| over the independent sets S of the processed vertices that meet
     the active set in it. A vertex is skipped, or taken with the weight
     multiplied by `take` when the state holds none of its neighbours; then
     the vertices with no unprocessed neighbour left retire and equal states
-    merge. The sweep is iterative, so its depth is not limited.
+    merge. The sweep is iterative, so its depth is not limited. Past
+    MAX_FRONTIER_STATES states it raises FrontierBudgetExceeded.
 
     With take = 1 the total only grows as vertices are processed, so once it
     passes `limit` the sweep stops and returns that partial total: a number
     greater than `limit`, not the count."""
-    verts, adj = adjacency_masks(g)
-    unprocessed = (1 << len(verts)) - 1
-    # component starts: least degree first, then lowest index (sorted is stable)
-    starts = iter(sorted(range(len(verts)), key=lambda u: adj[u].bit_count()))
-    active = 0
+    _, adj = adjacency_masks(g)
     states = {0: 1}
-    while unprocessed:
-        v = _next_vertex(active, unprocessed, adj)
-        if v < 0:
-            v = next(u for u in starts if unprocessed >> u & 1)
+    for v, active in _sweep(adj):
         vb = 1 << v
-        unprocessed ^= vb
-        active |= vb
         nbrs = adj[v]
-        m = active & (nbrs | vb)   # only v and its neighbours can retire now
-        while m:
-            b = m & -m
-            m ^= b
-            if not adj[b.bit_length() - 1] & unprocessed:
-                active ^= b
         merged: dict[int, int] = {}
         # the hot loop: the sign is chosen outside it, not per state
         if take < 0:
@@ -166,6 +196,8 @@ def _frontier_sum(g: Graph, take: int, limit: int | None = None) -> int:
             states = merged     # no weight is zero
             if limit is not None and sum(states.values()) > limit:
                 break
+        if len(states) > MAX_FRONTIER_STATES:
+            raise FrontierBudgetExceeded(MAX_FRONTIER_STATES)
     return sum(states.values())
 
 
@@ -180,7 +212,11 @@ def count_faces(g: Graph, limit: int | None = None) -> int:
     sweep with unsigned weights. Past `limit` the sweep stops early and
     returns some number greater than `limit`, which is all a budget check
     needs; `independent_set_masks` raises FaceBudgetExceeded on the same
-    graphs at the same budget."""
+    graphs at the same budget. A `limit` of at most MAX_FRONTIER_STATES, the
+    default face budget among them, never meets FrontierBudgetExceeded: every
+    state weighs at least 1, so the total passes the limit no later than the
+    state count passes the state budget. With no limit, or a larger one, the
+    sweep can raise it."""
     return _frontier_sum(g, 1, limit)
 
 

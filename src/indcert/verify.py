@@ -272,7 +272,8 @@ def replacement_suite(
                 bad.append(f"#{i}: replay {rep.failure}")
                 continue
             chi_g = euler.chi_reduced_recursive(g)
-            chi_h = euler.chi_reduced_recursive(h)
+            # the replay starts from h, so it has computed chi~(h) already
+            chi_h = rep.steps[0].chi_before
             if chi_h != -chi_g:
                 bad.append(f"#{i}: chi {chi_h} != -({chi_g})")
                 continue
@@ -303,32 +304,48 @@ def random_graph(rng: random.Random, max_n: int, p_edge: float | None = None) ->
 
 
 def _valid_steps(g: Graph) -> list[moves.OpStep]:
-    found = []
-    verts = list(g.vertices)
-    for v in verts:
-        for u in verts:
-            if u == v:
-                continue
-            step = moves.OpStep(moves.DEL_VERTEX, v, u)
-            if moves.check_step(g, step).ok:
-                found.append(step)
+    """Every step with a valid witness on g, as `moves.check_step` judges
+    them: del_vertex per vertex, then del_edge per sorted edge, then add_edge
+    per non-adjacent pair i < j, in the order of `g.vertices`, and for each
+    target its witnesses in that order.
+
+    Each condition is read from bitmasks over the positions in `g.vertices`.
+    A step removes R = N[v] for del_vertex and N[a] ∪ N[b] for an edge
+    target, and its valid witnesses are the unlooped u outside R with every
+    neighbour in R: u survives the deletion, carries no loop and is isolated
+    there. The target itself lies in R, so no witness equals it."""
+    verts = g.vertices
+    pos = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * len(verts)
+    for a, b in g.edges:
+        nbr[pos[a]] |= 1 << pos[b]
+        nbr[pos[b]] |= 1 << pos[a]
+    closed = [m | 1 << i for i, m in enumerate(nbr)]
+    free = sum(1 << i for i, v in enumerate(verts) if v not in g.loops)
+
+    def witnesses(removed: int) -> list[str]:
+        m = free & ~removed
+        out = []
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            if not nbr[u] & ~removed:
+                out.append(verts[u])
+        return out
+
+    found = [
+        moves.OpStep(moves.DEL_VERTEX, v, u)
+        for i, v in enumerate(verts) for u in witnesses(closed[i])
+    ]
     for a, b in sorted(g.edges):
-        for u in verts:
-            if u in (a, b):
-                continue
-            step = moves.OpStep(moves.DEL_EDGE, (a, b), u)
-            if moves.check_step(g, step).ok:
-                found.append(step)
+        removed = closed[pos[a]] | closed[pos[b]]
+        found += [moves.OpStep(moves.DEL_EDGE, (a, b), u) for u in witnesses(removed)]
     for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            if g.has_edge(a, b):
-                continue
-            for u in verts:
-                if u in (a, b):
-                    continue
-                step = moves.OpStep(moves.ADD_EDGE, (a, b), u)
-                if moves.check_step(g, step).ok:
-                    found.append(step)
+        for j in range(i + 1, len(verts)):
+            if not nbr[i] >> j & 1:
+                found += [moves.OpStep(moves.ADD_EDGE, (a, verts[j]), u)
+                          for u in witnesses(closed[i] | closed[j])]
     return found
 
 

@@ -22,3 +22,13 @@ def random_test_graphs(seed, count, max_n, union_max_n):
         if i % 3 == 0:
             g = g.disjoint_union(random_test_graph(rng, union_max_n), suffix="_r")
         yield g
+
+
+def dense_random_graph(n, p, seed):
+    """G(n, p) on v0..v(n-1): each pair i < j an edge when the seeded draw is
+    below p, the pairs drawn in lexicographic order."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return make_graph(names, edges)

@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
 from indcert import cli, verify
+from indcert.euler import MAX_FRONTIER_STATES
 from indcert.graphs import cylinder, grid
+from randgraphs import dense_random_graph
 
 
 def write(tmp_path, name, doc):
@@ -73,6 +76,20 @@ def test_exit_3_when_the_complex_exceeds_the_face_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: face budget") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_chi_exits_3_past_the_frontier_state_budget(tmp_path, capsys):
+    # uncapped, the sweep on this G(80, 0.2) ran for many seconds and took
+    # hundreds of megabytes
+    g = write(tmp_path, "g.json", dense_random_graph(80, 0.2, 1).to_json())
+    t0 = time.perf_counter()
+    assert cli.main(["chi", g]) == cli.EXIT_INPUT
+    assert time.perf_counter() - t0 < 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: frontier sweep exceeded its budget of {MAX_FRONTIER_STATES} states\n"
+    )
 
 
 @pytest.mark.parametrize("p", ["2", "3"])

@@ -1,15 +1,22 @@
 import gc
 import random
+import time
 
 import pytest
 
 from indcert.complexes import independence_complex
 from indcert.euler import (
+    DEFAULT_FACE_BUDGET,
+    MAX_FRONTIER_STATES,
     FaceBudgetExceeded,
+    FrontierBudgetExceeded,
+    _sweep,
+    adjacency_masks,
     chi_four_row_grid,
     chi_reduced,
     chi_reduced_enumerate,
     chi_reduced_recursive,
+    count_faces,
     edge_deletion_identity,
     independent_set_masks,
 )
@@ -21,7 +28,7 @@ from indcert.graphs import (
     make_graph,
 )
 from indcert.verify import VERIFY_FAMILIES, expected_shape, family_graph, random_graph
-from randgraphs import random_test_graphs
+from randgraphs import dense_random_graph, random_test_graphs
 
 
 def test_known_grid_values():
@@ -56,6 +63,88 @@ def test_dp_matches_the_declared_shapes_up_to_the_sweep_bounds():
         for n in range(1, n_max + 1):
             want = expected_shape(family, n).chi_reduced()
             assert chi_reduced_recursive(family_graph(family, n)) == want, (family, n)
+
+
+def _rescan_next_vertex(active, unprocessed, adj):
+    """The sweep's next vertex by a rescan of the active set per candidate:
+    among the unprocessed neighbours of the active set, the one leaving the
+    fewest active vertices, then the one with the most processed neighbours,
+    then the lowest index; -1 when there is none."""
+    cands = 0
+    m = active
+    while m:
+        b = m & -m
+        m ^= b
+        cands |= adj[b.bit_length() - 1]
+    cands &= unprocessed
+    processed = ~unprocessed
+    best, best_key = -1, None
+    while cands:
+        b = cands & -cands
+        cands ^= b
+        v = b.bit_length() - 1
+        rest = unprocessed ^ b
+        size = active.bit_count() + (1 if adj[v] & rest else 0)
+        m = active & adj[v]
+        while m:
+            u = m & -m
+            m ^= u
+            if not adj[u.bit_length() - 1] & rest:
+                size -= 1
+        key = (size, -(adj[v] & processed).bit_count())
+        if best_key is None or key < best_key:
+            best, best_key = v, key
+    return best
+
+
+def _rescan_sweep(adj):
+    """The (v, active) sequence of the sweep, by `_rescan_next_vertex`."""
+    unprocessed = (1 << len(adj)) - 1
+    starts = iter(sorted(range(len(adj)), key=lambda u: adj[u].bit_count()))
+    active = 0
+    while unprocessed:
+        v = _rescan_next_vertex(active, unprocessed, adj)
+        if v < 0:
+            v = next(u for u in starts if unprocessed >> u & 1)
+        vb = 1 << v
+        unprocessed ^= vb
+        active |= vb
+        m = active & (adj[v] | vb)
+        while m:
+            b = m & -m
+            m ^= b
+            if not adj[b.bit_length() - 1] & unprocessed:
+                active ^= b
+        yield v, active
+
+
+def test_sweep_order_matches_the_rescan_on_random_graphs():
+    for g in random_test_graphs(5, 600, 14, 9):
+        _, adj = adjacency_masks(g)
+        assert list(_sweep(adj)) == list(_rescan_sweep(adj)), g.to_json()
+
+
+def test_sweep_order_matches_the_rescan_on_every_family_member():
+    bounds = {"C1": 28, "C2": 28, "M2": 28, "C3": 20, "M3": 20, "CH1": 24}
+    assert set(bounds) == set(VERIFY_FAMILIES)
+    for family, n_max in bounds.items():
+        for n in range(1, n_max + 1):
+            _, adj = adjacency_masks(family_graph(family, n))
+            assert list(_sweep(adj)) == list(_rescan_sweep(adj)), (family, n)
+
+
+def test_face_count_meets_the_state_budget_only_past_its_limit():
+    # `indcert chi` on this graph exits 3 at the state budget (test_cli); a
+    # face count with no limit meets it too, but every state weighs at least
+    # 1, so the total passes any limit up to the state budget first
+    assert DEFAULT_FACE_BUDGET <= MAX_FRONTIER_STATES
+    g = dense_random_graph(80, 0.2, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(FrontierBudgetExceeded) as info:
+        count_faces(g)
+    assert info.value.budget == MAX_FRONTIER_STATES
+    assert count_faces(g, MAX_FRONTIER_STATES) > MAX_FRONTIER_STATES
+    assert time.perf_counter() - t0 < 20
 
 
 def test_dp_has_no_depth_limit():

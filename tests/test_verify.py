@@ -3,7 +3,63 @@ import random
 import pytest
 
 from indcert import certificates, moves, verify
-from indcert.graphs import GraphError
+from indcert.graphs import GraphError, make_graph
+from randgraphs import random_test_graphs
+
+
+def _checked_steps(g):
+    """Every valid step of g by `moves.check_step` on each candidate, in the
+    order `verify._valid_steps` promises."""
+    found = []
+    verts = list(g.vertices)
+    for v in verts:
+        for u in verts:
+            if u == v:
+                continue
+            step = moves.OpStep(moves.DEL_VERTEX, v, u)
+            if moves.check_step(g, step).ok:
+                found.append(step)
+    for a, b in sorted(g.edges):
+        for u in verts:
+            if u in (a, b):
+                continue
+            step = moves.OpStep(moves.DEL_EDGE, (a, b), u)
+            if moves.check_step(g, step).ok:
+                found.append(step)
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            if g.has_edge(a, b):
+                continue
+            for u in verts:
+                if u in (a, b):
+                    continue
+                step = moves.OpStep(moves.ADD_EDGE, (a, b), u)
+                if moves.check_step(g, step).ok:
+                    found.append(step)
+    return found
+
+
+def test_valid_steps_match_check_step_on_random_graphs():
+    checked = 0
+    for g in random_test_graphs(7, 600, 9, 6):
+        want = _checked_steps(g)
+        assert verify._valid_steps(g) == want, g.to_json()
+        checked += bool(want)
+    assert checked > 500
+
+
+def test_valid_steps_on_edge_cases():
+    assert verify._valid_steps(make_graph([])) == []
+    looped = make_graph(["a", "b", "c"], [("a", "b")], ["a", "b", "c"])
+    assert verify._valid_steps(looped) == _checked_steps(looped) == []
+    # a looped vertex can be deleted and joined by an edge, but never witnesses
+    g = make_graph(["a", "b", "c"], [], ["a"])
+    dv, ae = moves.DEL_VERTEX, moves.ADD_EDGE
+    assert verify._valid_steps(g) == _checked_steps(g) == [
+        moves.OpStep(dv, "a", "b"), moves.OpStep(dv, "a", "c"),
+        moves.OpStep(dv, "b", "c"), moves.OpStep(dv, "c", "b"),
+        moves.OpStep(ae, ("a", "b"), "c"), moves.OpStep(ae, ("a", "c"), "b"),
+    ]
 
 
 def test_oracle_budget_stop_is_reported_as_skipped():
