@@ -7,7 +7,9 @@ activity -1. It is iterative, so no recursion limit applies, and its cost is
 exponential only in the width of the frontier: past MAX_FRONTIER_STATES
 states it raises FrontierBudgetExceeded. `_sweep` picks the vertex order
 greedily, keeping the frontier small, from bitmasks it updates as it goes
-rather than by rescanning the frontier for each candidate.
+rather than by rescanning the frontier for each candidate. A certificate
+replay takes every chi~ from one `ReplaySweep`: one order for all its graphs,
+and the states of the part that no step changes computed once.
 `chi_reduced_enumerate` is the independent oracle: the signed sum over the
 independent sets that `independent_set_masks` enumerates. The two must agree.
 The same sweep at activity 1 is `count_faces`, which the Betti route's face
@@ -40,13 +42,17 @@ class FrontierBudgetExceeded(RuntimeError):
 def adjacency_masks(g: Graph) -> tuple[list[str], list[int]]:
     """Vertex order (sorted, loops dropped) and adjacency bitmasks."""
     verts = sorted(v for v in g.vertices if v not in g.loops)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
+    return verts, _edge_masks(g, {v: i for i, v in enumerate(verts)}, len(verts))
+
+
+def _edge_masks(g: Graph, index: dict[str, int], size: int) -> list[int]:
+    """`size` bitmasks of g's edges between the vertices that `index` numbers."""
+    adj = [0] * size
     for a, b in g.edges:
         if a in index and b in index:
             adj[index[a]] |= 1 << index[b]
             adj[index[b]] |= 1 << index[a]
-    return verts, adj
+    return adj
 
 
 def independent_set_masks(g: Graph, budget: int | None = DEFAULT_FACE_BUDGET):
@@ -153,27 +159,11 @@ def _sweep(adj: list[int]):
         yield v, active
 
 
-def _frontier_sum(g: Graph, take: int, limit: int | None = None) -> int:
-    """The sum over the independent sets S of g of take^|S|, by a frontier
-    (transfer-matrix) sweep, for take = -1 (-chi~ of I(g)) or take = 1 (the
-    number of faces of I(g), the empty face counted).
-
-    The vertices are processed one at a time in the order of `_sweep`. A
-    state is the set of chosen vertices among the active ones (processed,
-    with an unprocessed neighbour left), and its weight is the sum of
-    take^|S| over the independent sets S of the processed vertices that meet
-    the active set in it. A vertex is skipped, or taken with the weight
-    multiplied by `take` when the state holds none of its neighbours; then
-    the vertices with no unprocessed neighbour left retire and equal states
-    merge. The sweep is iterative, so its depth is not limited. Past
-    MAX_FRONTIER_STATES states it raises FrontierBudgetExceeded.
-
-    With take = 1 the total only grows as vertices are processed, so once it
-    passes `limit` the sweep stops and returns that partial total: a number
-    greater than `limit`, not the count."""
-    _, adj = adjacency_masks(g)
-    states = {0: 1}
-    for v, active in _sweep(adj):
+def _fold(states, adj: list[int], steps, take: int, limit: int | None = None) -> dict[int, int]:
+    """The frontier sweep's state loop, from the (state, weight) pairs
+    `states` over the (v, active) pairs of `steps`; see `_frontier_sum`."""
+    states = dict(states)
+    for v, active in steps:
         vb = 1 << v
         nbrs = adj[v]
         merged: dict[int, int] = {}
@@ -198,7 +188,121 @@ def _frontier_sum(g: Graph, take: int, limit: int | None = None) -> int:
                 break
         if len(states) > MAX_FRONTIER_STATES:
             raise FrontierBudgetExceeded(MAX_FRONTIER_STATES)
-    return sum(states.values())
+    return states
+
+
+def _frontier_sum(g: Graph, take: int, limit: int | None = None) -> int:
+    """The sum over the independent sets S of g of take^|S|, by a frontier
+    (transfer-matrix) sweep, for take = -1 (-chi~ of I(g)) or take = 1 (the
+    number of faces of I(g), the empty face counted).
+
+    The vertices are processed one at a time in the order of `_sweep`. A
+    state is the set of chosen vertices among the active ones (processed,
+    with an unprocessed neighbour left), and its weight is the sum of
+    take^|S| over the independent sets S of the processed vertices that meet
+    the active set in it. A vertex is skipped, or taken with the weight
+    multiplied by `take` when the state holds none of its neighbours; then
+    the vertices with no unprocessed neighbour left retire and equal states
+    merge. The sweep is iterative, so its depth is not limited. Past
+    MAX_FRONTIER_STATES states it raises FrontierBudgetExceeded.
+
+    With take = 1 the total only grows as vertices are processed, so once it
+    passes `limit` the sweep stops and returns that partial total: a number
+    greater than `limit`, not the count."""
+    _, adj = adjacency_masks(g)
+    return sum(_fold(((0, 1),), adj, _sweep(adj), take, limit).values())
+
+
+def _ordered(adj: list[int], order, unprocessed: int, active: int):
+    """(v, active) per vertex of `order` in `unprocessed`, the others
+    skipped: `_sweep`'s pairs for an order fixed in advance."""
+    for v in order:
+        vb = 1 << v
+        if not unprocessed & vb:
+            continue
+        unprocessed ^= vb
+        active |= vb
+        m = active & (adj[v] | vb)   # only v and its neighbours change here
+        while m:
+            b = m & -m
+            m ^= b
+            if not adj[b.bit_length() - 1] & unprocessed:
+                active ^= b
+        yield v, active
+
+
+def _cost(pairs, k: int, graphs: int) -> int:
+    """A bound on the states that `graphs` sweeps in the order of `pairs`
+    visit when they share the first k vertices: a vertex with active set A
+    leaves at most 2^|A| states."""
+    bound = [1 << active.bit_count() for _, active in pairs]
+    return sum(bound[:k]) + graphs * sum(bound[k:])
+
+
+class SweepHintError(RuntimeError):
+    """A graph given to `ReplaySweep.chi` changed outside the region its hint
+    allows. This is a fault of the program, never an input error."""
+
+
+class ReplaySweep:
+    """chi~ of I(g) for the graphs of one certificate replay, by one sweep
+    order and one shared prefix of states.
+
+    `changing` holds the labels the steps touch: each del_vertex target and
+    both endpoints of each edge step. Steps delete only touched vertices and
+    edit only edges between them, so each vertex outside `near`, the closed
+    neighbourhood of `changing` in the initial graph g0, keeps its presence
+    and its neighbours in every replayed graph; `chi` checks this on g's
+    masks, in g0's index space, and raises SweepHintError when it fails. The
+    vertices before the first one in `near` are then the same, with the same
+    neighbours, in every graph, and so are the states after them: those are
+    computed once, as (state, weight) pairs, and each graph is swept on from
+    there with its own active sets, its deleted vertices skipped. Any order
+    gives the exact sum, so the result never rests on the hint;
+    MAX_FRONTIER_STATES applies.
+
+    The order is `_sweep`'s on g0 or, when that reaches `near` later, its
+    reverse, if `_cost` puts it below the greedy order for the `graphs`
+    graphs that `chi` will see. The reverse can share far more (40 of the 56
+    vertices of `p4n-to-x(14)`, where the greedy order meets `near` first)
+    but can also hold a far wider frontier: the greedy order retires a hub's
+    pendant leaves at once, the reverse keeps them all active until the hub."""
+
+    def __init__(self, g0: Graph, changing, graphs: int):
+        verts, adj = adjacency_masks(g0)
+        self._index = index = {v: i for i, v in enumerate(verts)}
+        near = 0
+        for v in changing:
+            if v in index:
+                near |= adj[index[v]] | 1 << index[v]
+        full = (1 << len(verts)) - 1
+        pairs = list(_sweep(adj))
+        hits = [i for i, (v, _) in enumerate(pairs) if near >> v & 1] or [len(pairs)]
+        k, back = hits[0], len(pairs) - 1 - hits[-1]
+        if back > k:
+            rev = list(_ordered(adj, [v for v, _ in reversed(pairs)], full, 0))
+            if _cost(rev, back, graphs) < _cost(pairs, k, graphs):
+                pairs, k = rev, back
+        self._active = pairs[k - 1][1] if k else 0
+        self._prefix = tuple(_fold(((0, 1),), adj, pairs[:k], -1).items())
+        self._order = [v for v, _ in pairs[k:]]
+        self._rest = sum(1 << v for v in self._order)
+        self._adj, self._outside = adj, full & ~near
+
+    def chi(self, g: Graph) -> int:
+        index, adj0, outside = self._index, self._adj, self._outside
+        live = g.vertex_set - g.loops
+        if not live <= index.keys():
+            raise SweepHintError("a vertex is unlooped here but not in the initial graph")
+        pos = {v: index[v] for v in live}
+        present = sum(1 << i for i in pos.values())
+        adj = _edge_masks(g, pos, len(adj0))
+        if present & outside != outside or any(
+            adj[i] != adj0[i] for i in range(len(adj)) if outside >> i & 1
+        ):
+            raise SweepHintError("the graph changed outside the vertices the replay touches")
+        steps = _ordered(adj, self._order, present & self._rest, self._active)
+        return -sum(_fold(self._prefix, adj, steps, -1).values())
 
 
 def chi_reduced_recursive(g: Graph) -> int:

@@ -145,12 +145,25 @@ def apply_step(g: Graph, step: OpStep) -> Graph:
     check = check_step(g, step)
     if not check.ok:
         raise PreconditionError(f"{step.describe()}: {check.reason}")
+    return _apply_checked(g, step)
+
+
+def _apply_checked(g: Graph, step: OpStep) -> Graph:
+    """The edit of a step whose precondition holds on g."""
     if step.kind == DEL_VERTEX:
         return g.delete_vertices({step.target})
     a, b = step.target
     if step.kind == DEL_EDGE:
         return g.delete_edge(a, b)
     return g.add_edge(a, b)
+
+
+def touched_labels(steps) -> set[str]:
+    """Every del_vertex target and both endpoints of every edge step."""
+    out: set[str] = set()
+    for step in steps:
+        out.update((step.target,) if step.kind == DEL_VERTEX else step.target)
+    return out
 
 
 def step_direction(step: OpStep) -> str:
@@ -275,12 +288,17 @@ def replay(
     checks="betti", the GF(2) Betti profile as well, where the budget allows
     computing it on both sides (`betti_skipped` says where it did not).
     Finally the result must equal the declared final graph label-for-label.
+
+    Every chi~ comes from one `euler.ReplaySweep` of the initial graph, told
+    the labels the steps touch, so each step sweeps only past the part of the
+    graph that no step changes.
     """
     if checks not in CHECK_LEVELS:
         raise ValueError(f"unknown check level {checks!r}")
     want_betti = checks == "betti"
     g = cert.initial_graph()
-    chi = euler.chi_reduced_recursive(g)
+    sweep = euler.ReplaySweep(g, touched_labels(cert.steps), len(cert.steps) + 1)
+    chi = sweep.chi(g)
     betti = graph_betti(g, (2,), budget) if want_betti else None
     skipped = want_betti and betti is None
     reports: list[StepReport] = []
@@ -300,8 +318,8 @@ def replay(
                 StepReport(i, step, step_direction(step), False, check.reason)
             )
             return stop("precondition", f"step {i} {step.describe()}: {check.reason}")
-        g2 = apply_step(g, step)
-        chi2 = euler.chi_reduced_recursive(g2)
+        g2 = _apply_checked(g, step)
+        chi2 = sweep.chi(g2)
         reports.append(
             StepReport(i, step, step_direction(step), True, "", chi, chi2)
         )

@@ -10,6 +10,8 @@ from indcert.euler import (
     MAX_FRONTIER_STATES,
     FaceBudgetExceeded,
     FrontierBudgetExceeded,
+    ReplaySweep,
+    SweepHintError,
     _sweep,
     adjacency_masks,
     chi_four_row_grid,
@@ -27,7 +29,14 @@ from indcert.graphs import (
     grid,
     make_graph,
 )
-from indcert.verify import VERIFY_FAMILIES, expected_shape, family_graph, random_graph
+from indcert.moves import apply_step, touched_labels
+from indcert.verify import (
+    VERIFY_FAMILIES,
+    _valid_steps,
+    expected_shape,
+    family_graph,
+    random_graph,
+)
 from randgraphs import dense_random_graph, random_test_graphs
 
 
@@ -54,6 +63,45 @@ def test_looped_vertices_are_dropped():
 def test_methods_agree_on_random_graphs():
     for g in random_test_graphs(3, 600, 10, 8):
         assert chi_reduced_enumerate(g) == chi_reduced_recursive(g), g.to_json()
+
+
+def test_replay_sweep_matches_the_dp_on_random_step_chains():
+    rng = random.Random(11)
+    graphs = [make_graph([], [])] + list(random_test_graphs(12, 360, 9, 6))
+    chains = 0
+    for g0 in graphs:
+        chain = [g0]
+        steps = []
+        for _ in range(rng.randint(1, 8)):
+            valid = _valid_steps(chain[-1])
+            if not valid:
+                break
+            steps.append(valid[rng.randrange(len(valid))])
+            chain.append(apply_step(chain[-1], steps[-1]))
+        chains += len(steps) > 0
+        sweep = ReplaySweep(g0, touched_labels(steps), len(chain))
+        for g in chain:
+            assert sweep.chi(g) == chi_reduced_recursive(g), g0.to_json()
+    assert chains >= 300
+
+
+def test_replay_sweep_refuses_a_graph_changed_outside_the_hint():
+    g0 = make_graph(list("abcdef"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")], ["f"])
+    sweep = ReplaySweep(g0, {"a"}, 2)     # near is {a, b}
+    assert sweep.chi(g0.delete_vertices({"a"})) == chi_reduced_recursive(g0.delete_vertices({"a"}))
+    assert sweep.chi(g0.delete_vertices({"f"})) == chi_reduced_recursive(g0)
+    changed = [
+        g0.delete_edge("d", "e"),
+        g0.delete_vertices({"e"}),
+        g0.add_edge("a", "d"),
+        make_graph(list("abcdef"), sorted(g0.edges)),           # f loses its loop
+        make_graph(list("abcdefg"), sorted(g0.edges), ["f"]),   # g is new
+    ]
+    for g in changed:
+        with pytest.raises(SweepHintError):
+            sweep.chi(g)
+    # a program fault, not an input error that the command line would report
+    assert not issubclass(SweepHintError, ValueError)
 
 
 def test_dp_matches_the_declared_shapes_up_to_the_sweep_bounds():

@@ -1,6 +1,11 @@
+import random
+import time
+
 import pytest
 
+from indcert import certificates
 from indcert.complexes import independence_complex
+from indcert.euler import ReplaySweep, _sweep, adjacency_masks, chi_reduced_recursive
 from indcert.graphs import GraphError, cylinder, make_graph
 from indcert.moves import (
     ADD_EDGE,
@@ -14,6 +19,7 @@ from indcert.moves import (
     check_step,
     replay,
     step_direction,
+    touched_labels,
 )
 
 
@@ -201,3 +207,58 @@ def test_step_document_needs_label_targets(step):
     )
     with pytest.raises(GraphError):
         certificate_from_json(text)
+
+
+def _suite_certificates():
+    for cert_id in certificates.BUILTIN_IDS:
+        if cert_id not in certificates.PARAMETERIZED_IDS:
+            yield certificates.builtin_certificate(cert_id)
+    for cert_id, ns in (("ch1", range(1, 6)), ("p4n-to-x", range(3, 15)),
+                        ("y-recursion", range(4, 15))):
+        for n in ns:
+            yield certificates.builtin_certificate(cert_id, n)
+    rng = random.Random(7)
+    for rule in ("thm1", "thm2", "thm3"):
+        for _ in range(20):
+            yield certificates.make_replacement(*certificates.random_host(rule, rng))[1]
+
+
+def test_replay_sweep_matches_the_dp_on_every_replayed_graph():
+    count = 0
+    for cert in _suite_certificates():
+        g = cert.initial_graph()
+        sweep = ReplaySweep(g, touched_labels(cert.steps), len(cert.steps) + 1)
+        assert sweep.chi(g) == chi_reduced_recursive(g), cert.name
+        for step in cert.steps:
+            g = apply_step(g, step)
+            assert sweep.chi(g) == chi_reduced_recursive(g), cert.name
+        assert replay(cert).passed, cert.name
+        count += 1
+    assert count >= 10 + 5 + 12 + 11 + 60
+
+
+def test_replay_sweep_shares_most_of_the_appendix_sweep():
+    cert = certificates.builtin_certificate("p4n-to-x", 14)
+    g = cert.initial_graph()
+    sweep = ReplaySweep(g, touched_labels(cert.steps), len(cert.steps) + 1)
+    assert len(adjacency_masks(g)[0]) == 56
+    assert 56 - len(sweep._order) >= 40
+
+
+def test_replay_keeps_the_greedy_order_on_a_star():
+    # The greedy sweep takes each pendant leaf right after the hub, so it
+    # retires at once; the reversed order would keep every leaf active until
+    # the hub, 2^19 states here.
+    leaves = [f"l{i:02d}" for i in range(20)]
+    g = make_graph(["hub"] + leaves, [("hub", v) for v in leaves])
+    verts, adj = adjacency_masks(g)
+    first = next(verts[v] for v, _ in _sweep(adj) if verts[v] != "hub")
+    other = next(v for v in leaves if v != first)
+    cert = Certificate(
+        "star", g, (OpStep(DEL_VERTEX, first, other),), g.delete_vertices({first})
+    )
+    t0 = time.perf_counter()
+    report = replay(cert)
+    assert report.passed
+    assert [s.chi_after for s in report.steps] == [chi_reduced_recursive(cert.expected_final)]
+    assert time.perf_counter() - t0 < 5
