@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 pass, 1 verification failure, 2 precondition violation,
-3 input error. Graph arguments are JSON file paths (or ``-`` for stdin);
-the file may hold either a graph document or a family reference like
-``{"family": "C", "m": 3, "n": 4}``.
+3 input error, usage errors included. Graph arguments are JSON file paths
+(or ``-`` for stdin); the file may hold either a graph document or a family
+reference like ``{"family": "C", "m": 3, "n": 4}``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import replace
 from . import certificates, complexes, euler, homology, moves, verify
 from .graphs import (
     FAMILY_TAGS,
+    TWO_PARAMETER_FAMILIES,
     FamilySpec,
     Graph,
     GraphError,
@@ -43,7 +44,7 @@ def _load_graph(path: str) -> Graph:
 
 def _cmd_gen(args) -> int:
     family = args.family
-    if family in ("P", "C", "M", "CH"):
+    if family in TWO_PARAMETER_FAMILIES:
         if args.n is None:
             raise GraphError(f"family {family} needs two numbers: m n")
         spec = FamilySpec(family, args.m, args.n)
@@ -140,8 +141,27 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if summary.passed else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 3, not argparse's 2. The
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="indcert",
         description=(
             "Mechanically verify homotopy-preserving reductions of "
@@ -163,27 +183,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="recursive: the production frontier DP (the name is historical); "
              "enumerate: the signed sum over all independent sets, within --budget",
     )
-    p.add_argument("--budget", type=int, default=euler.DEFAULT_FACE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=euler.DEFAULT_FACE_BUDGET)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("betti", help="reduced Betti numbers of I(G) over GF(p)")
     p.add_argument("graph")
     p.add_argument("--p", type=int, default=2, help="a prime")
-    p.add_argument("--budget", type=int, default=euler.DEFAULT_FACE_BUDGET,
+    p.add_argument("--budget", type=_budget, default=euler.DEFAULT_FACE_BUDGET,
                    help="refuse (exit 3) when I(G) has more faces than this, "
                         "the empty face counted; the faces are counted, not built")
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("complex", help="dump the faces of I(G)")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=euler.DEFAULT_FACE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=euler.DEFAULT_FACE_BUDGET)
     p.set_defaults(func=_cmd_complex)
 
     p = sub.add_parser("replay", help="replay a certificate file")
     p.add_argument("certificate")
     p.add_argument("--check", choices=moves.CHECK_LEVELS, default="chi",
                    help="betti: also the GF(2) Betti profile, where --budget allows")
-    p.add_argument("--budget", type=int, default=euler.DEFAULT_FACE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=euler.DEFAULT_FACE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_replay)
 
@@ -202,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("what", choices=("corollaries", "appendix", "all"))
     p.add_argument("--config", default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify, what="selftest", config=None)
 

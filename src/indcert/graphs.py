@@ -172,7 +172,8 @@ def make_graph(
 # Family generators
 
 
-FAMILY_TAGS = ("P", "C", "M", "CH", "MH1", "X4", "Y4")
+TWO_PARAMETER_FAMILIES = ("P", "C", "M", "CH")
+FAMILY_TAGS = TWO_PARAMETER_FAMILIES + ("MH1", "X4", "Y4")
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_TAGS:
             raise GraphError(f"unknown family {self.family!r}")
-        if self.family in ("P", "C", "M", "CH"):
+        if self.family in TWO_PARAMETER_FAMILIES:
             if self.m is None or self.m < 1:
                 raise GraphError(f"family {self.family} needs m >= 1")
         elif self.m is not None:
@@ -327,11 +328,12 @@ def family_from_json_dict(doc: dict) -> FamilySpec:
     fam = doc.get("family")
     if not isinstance(fam, str):
         raise GraphError("family document needs a 'family' string")
+    # JSON true and false load as bool, an int subclass: hence `type(x) is int`
     n = doc.get("n")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise GraphError("family document needs an integer 'n'")
     m = doc.get("m")
-    if m is not None and not isinstance(m, int):
+    if m is not None and type(m) is not int:
         raise GraphError("'m' must be an integer")
     return FamilySpec(fam, m, n)
 

@@ -11,12 +11,18 @@ gradient flow over Z and is reduced mod p. The face budget is counted, not
 built: `graph_betti` returns None exactly when I(g) has more faces than the
 budget, the empty face counted, and callers report that as a skipped check.
 
-`betti_profiles` is the oracle, on the faces of an enumerated complex:
-Gaussian elimination on the boundary matrices of the augmented chain complex,
-after large complexes are shrunk by the verified greedy elementary-collapse
-reduction (`collapse_core`), which preserves every Betti number. Both routes
-use the fixed sorted vertex order, where the facet obtained by dropping the
-i-th smallest vertex carries sign (-1)^i, which only matters for odd primes.
+`betti_profiles` is the oracle, on the faces of an enumerated complex, after
+large complexes are shrunk by the verified greedy elementary-collapse
+reduction (`collapse_core`), which preserves every Betti number.
+
+A Morse complex has the homology of the complex it comes from (Forman), so
+once a route has built its based chain complex both feed one elimination:
+`_profiles` ranks each boundary over each prime with `_rank_gfp` and reads
+off the profile. The oracle's independence lies in the complex it builds:
+every face, with the simplicial boundary (`_face_column`), where production
+has critical cells and the gradient flow. Both use the fixed sorted vertex
+order, where the facet obtained by dropping the i-th smallest vertex carries
+sign (-1)^i, which only matters for odd primes.
 
 The benchmark's tracer (perfbench/spans.py) wraps `homology.collapse_core`
 and `homology.betti_profiles`, so calls look them up through these module
@@ -53,21 +59,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _rank_gf2(columns: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = col
-                rank += 1
-                break
-            col ^= piv
-    return rank
 
 
 def _rank_gfp(columns: list[dict[int, int]], p: int) -> int:
@@ -156,7 +147,7 @@ def betti_profiles(k: SimplicialComplex, primes: tuple[int, ...]) -> dict[int, P
         raise HomologyBudgetError(
             f"{len(faces)} faces remain after collapsing; elimination refused"
         )
-    return {p: _betti_from_faces(faces, p) for p in primes}
+    return _profiles(faces, primes, _face_column)
 
 
 def check_primes(primes: tuple[int, ...]) -> None:
@@ -177,32 +168,39 @@ def graph_betti(
     check_primes(primes)
     if budget is not None and count_faces(g, budget) > budget:
         return None
-    _, adj = adjacency_masks(g)
-    tree = _MatchingTree(adj)
-    crit: dict[int, list[int]] = {}
-    for cell in tree.critical_cells():
-        crit.setdefault(cell.bit_count(), []).append(cell)
-    # rank over GF(p) of the Morse boundary from size-s to size-(s-1) cells;
-    # it is computed only where both sizes hold critical cells
-    ranks: dict[tuple[int, int], int] = {}
+    tree = _MatchingTree(adjacency_masks(g)[1])
     memo: dict[int, dict[int, int] | None] = {}
-    for s in crit:
-        rows = crit.get(s - 1)
+    return _profiles(
+        tree.critical_cells(), primes,
+        lambda cell, row_of: _morse_column(tree, cell, row_of, memo),
+    )
+
+
+def _profiles(cells, primes: tuple[int, ...], column) -> dict[int, Profile]:
+    """The profile over each prime of the augmented chain complex on `cells`,
+    vertex masks whose size s is the dimension plus one. `column(cell,
+    row_of)` is a cell's boundary over Z as {row: coefficient}, with `row_of`
+    numbering the cells one size smaller; it is built and ranked only where
+    both sizes hold cells."""
+    cells_by_size: dict[int, list[int]] = {}
+    for cell in cells:
+        cells_by_size.setdefault(cell.bit_count(), []).append(cell)
+    ranks: dict[tuple[int, int], int] = {}
+    for s, group in cells_by_size.items():
+        rows = cells_by_size.get(s - 1)
         if not rows:
             continue
         row_of = {cell: i for i, cell in enumerate(rows)}
-        columns = [_morse_column(tree, cell, row_of, memo) for cell in crit[s]]
+        columns = [column(cell, row_of) for cell in group]
         for p in primes:
             ranks[p, s] = _rank_gfp(columns, p)
-    out = {}
-    for p in primes:
-        profile = []
-        for s in sorted(crit):
-            value = len(crit[s]) - ranks.get((p, s), 0) - ranks.get((p, s + 1), 0)
-            if value:
-                profile.append((s - 1, value))
-        out[p] = tuple(profile)
-    return out
+    return {
+        p: tuple(
+            (s - 1, value) for s, group in sorted(cells_by_size.items())
+            if (value := len(group) - ranks.get((p, s), 0) - ranks.get((p, s + 1), 0))
+        )
+        for p in primes
+    }
 
 
 class MorseMatchingError(RuntimeError):
@@ -322,6 +320,11 @@ def _facets(face: int):
         i += 1
 
 
+def _face_column(face: int, row_of: dict[int, int]) -> dict[int, int]:
+    """The simplicial boundary of a face over Z, as {row: incidence sign}."""
+    return {row_of[f]: sign for f, sign in _facets(face)}
+
+
 def _morse_column(
     tree: _MatchingTree, cell: int, row_of: dict[int, int], memo: dict
 ) -> dict[int, int]:
@@ -393,54 +396,3 @@ def _flow(tree: _MatchingTree, start: int, row_of: dict[int, int], memo: dict) -
         for f, _ in _facets(other):
             if f != face and f not in memo:
                 stack.append((f, 0))
-
-
-def _betti_from_faces(faces: frozenset[int], p: int) -> Profile:
-    by_size: dict[int, list[int]] = {}
-    for m in faces:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    for v in by_size.values():
-        v.sort()
-    top = max(by_size)
-    index: dict[int, dict[int, int]] = {
-        s: {m: i for i, m in enumerate(ms)} for s, ms in by_size.items()
-    }
-
-    # rank of the boundary from size-s faces down to size-(s-1) faces
-    ranks: dict[int, int] = {}
-    for s in range(1, top + 1):
-        cols_masks = by_size.get(s, [])
-        row_index = index.get(s - 1, {})
-        if p == 2:
-            cols2: list[int] = []
-            for m in cols_masks:
-                col = 0
-                mm = m
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    col |= 1 << row_index[m ^ b]
-                cols2.append(col)
-            ranks[s] = _rank_gf2(cols2)
-        else:
-            colsp: list[dict[int, int]] = []
-            for m in cols_masks:
-                col: dict[int, int] = {}
-                mm = m
-                i = 0
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    col[row_index[m ^ b]] = 1 if i % 2 == 0 else p - 1
-                    i += 1
-                colsp.append(col)
-            ranks[s] = _rank_gfp(colsp, p)
-    ranks[0] = 0
-    ranks[top + 1] = 0
-
-    profile = []
-    for s in range(0, top + 1):
-        value = len(by_size.get(s, [])) - ranks.get(s, 0) - ranks.get(s + 1, 0)
-        if value:
-            profile.append((s - 1, value))
-    return tuple(profile)

@@ -209,11 +209,14 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
         final = graph_from_json_dict(doc["expected_final"])
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed certificate document: {exc}") from exc
+    note = doc.get("note", "")
+    if not isinstance(name, str) or not isinstance(note, str):
+        raise GraphError("malformed certificate document: 'name' and 'note' must be strings")
     if isinstance(initial_doc, dict) and "family" in initial_doc:
         initial: Graph | FamilySpec = family_from_json_dict(initial_doc)
     else:
         initial = graph_from_json_dict(initial_doc)
-    return Certificate(name, initial, steps, final, doc.get("note", ""))
+    return Certificate(name, initial, steps, final, note)
 
 
 def certificate_from_json(text: str) -> Certificate:

@@ -316,10 +316,7 @@ def _valid_steps(g: Graph) -> list[moves.OpStep]:
     there. The target itself lies in R, so no witness equals it."""
     verts = g.vertices
     pos = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * len(verts)
-    for a, b in g.edges:
-        nbr[pos[a]] |= 1 << pos[b]
-        nbr[pos[b]] |= 1 << pos[a]
+    nbr = euler._edge_masks(g, pos, len(verts))
     closed = [m | 1 << i for i, m in enumerate(nbr)]
     free = sum(1 << i for i, v in enumerate(verts) if v not in g.loops)
 
@@ -541,6 +538,8 @@ def parse_config(text: str) -> SuiteConfig:
         val = val.strip()
         if key in _INT_KEYS:
             values[key] = _config_int(lineno, key, val)
+            if values[key] < 0 and key != "seed":
+                raise GraphError(f"line {lineno}: {key} must not be negative, not {val!r}")
         elif key == "primes":
             primes = tuple(_config_int(lineno, key, x) for x in val.replace(",", " ").split())
             try:

@@ -63,6 +63,40 @@ def test_exit_3_on_malformed_input(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["chi", "GRAPH", "--budget", "abc"],
+    ["verify", "corollaries", "--budget", "-1"],
+    ["frobnicate", "GRAPH"],
+    ["betti"],
+])
+def test_exit_3_on_a_usage_error(tmp_path, capsys, argv):
+    g = write(tmp_path, "g.json", grid(1, 3).to_json())
+    with pytest.raises(SystemExit) as info:
+        cli.main([g if a == "GRAPH" else a for a in argv])
+    assert info.value.code == cli.EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("chi", {"family": "C", "m": True, "n": 3}),
+    ("chi", {"family": "C", "m": 2, "n": True}),
+    ("replay", {**certificate(VALID_STEP, BC_EDGE), "name": ["x"]}),
+    ("replay", {**certificate(VALID_STEP, BC_EDGE), "note": 7}),
+])
+def test_exit_3_on_a_malformed_document(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)
+    assert cli.main([command, path]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_verify_exits_3_on_a_negative_config_value(tmp_path, capsys):
+    # a negative seed is fine
+    config = write(tmp_path, "suite.conf", "seed = -4\nbudget = -3\n")
+    assert cli.main(["verify", "corollaries", "--config", config]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: line 2: budget must not be negative, not '-3'\n"
+
+
 def test_chi_of_a_long_path_needs_no_recursion(tmp_path, capsys):
     # I(P_3000) is homotopy equivalent to S^999, so chi~ = (-1)^999
     g = write(tmp_path, "path.json", grid(1, 3000).to_json())

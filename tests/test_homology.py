@@ -1,15 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from indcert import homology
-from indcert.complexes import independence_complex
+from indcert.complexes import SimplicialComplex, independence_complex
 from indcert.euler import FaceBudgetExceeded, adjacency_masks, chi_reduced, count_faces
 from indcert.graphs import GraphError, cylinder, make_graph, moebius
 from indcert.homology import (
     MorseMatchingError,
-    _betti_from_faces,
+    _face_column,
     _flow,
+    _profiles,
+    _rank_gfp,
     betti_profiles,
     collapse_core,
     graph_betti,
@@ -94,7 +97,42 @@ def test_collapse_preprocessing_agrees_with_direct_elimination():
         core = collapse_core(k.face_masks)
         assert len(core) < k.n_faces()
         for p in (2, 3):
-            assert _betti_from_faces(core, p) == _betti_from_faces(k.face_masks, p)
+            want = _profiles(k.face_masks, (p,), _face_column)
+            assert _profiles(core, (p,), _face_column) == want
+
+
+def _span_size(columns, p, n_rows):
+    """The number of vectors in the span of the columns over GF(p)."""
+    span = {(0,) * n_rows}
+    for col in columns:
+        vec = tuple(col.get(r, 0) % p for r in range(n_rows))
+        span |= {tuple((x + c * y) % p for x, y in zip(s, vec)) for s in span for c in range(p)}
+    return len(span)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_gfp_matches_the_size_of_the_column_span(p):
+    # rank r over GF(p) exactly when the columns span p^r vectors
+    rng = random.Random(53 + p)
+    for _ in range(60):
+        n_rows = rng.randint(1, 4)
+        columns = [
+            {r: v for r in range(n_rows) if (v := rng.randint(-4, 4))}
+            for _ in range(rng.randint(0, 5))
+        ]
+        assert p ** _rank_gfp(columns, p) == _span_size(columns, p, n_rows), columns
+
+
+def test_boundary_signs_on_the_real_projective_plane():
+    # the 6-vertex RP^2: H~_1 and H~_2 are GF(2) but vanish over GF(3), where
+    # the profile is right only with the right incidence signs
+    triangles = ("123", "134", "145", "156", "162", "235", "346", "452", "563", "624")
+    faces = frozenset(
+        sum(1 << int(v) - 1 for v in face)
+        for t in triangles for size in range(4) for face in combinations(t, size)
+    )
+    k = SimplicialComplex(tuple(f"v{i}" for i in range(1, 7)), faces)
+    assert betti_profiles(k, (2, 3)) == {2: ((1, 1), (2, 1)), 3: ()}
 
 
 def test_non_prime_rejected():

@@ -163,6 +163,8 @@ def test_parse_config_reads_every_kind_of_value():
     ("primes = 2, 4\n", "line 1: primes: 4 is not prime"),
     ("seed = 1\nprimes =\n", "line 2: primes: no prime given"),
     ("checks = all\n", "line 1: checks must be chi or betti"),
+    ("c1_max = -3\n", "line 1: c1_max must not be negative, not '-3'"),
+    ("seed = -5\nrandom_hosts = -1\n", "line 2: random_hosts must not be negative, not '-1'"),
 ])
 def test_parse_config_errors_name_the_line(text, message):
     with pytest.raises(GraphError) as info:
