@@ -13,15 +13,21 @@ The three replacement rules:
   rows cross between the two middle interior columns; 33 steps, three
   suspensions, final = old graph plus a detached 8-cycle.
 
-Builtins transcribe the fixed reduction sequences for the small grid families
-(the step counts are pinned by tests). Certificates store their expected final
-graph explicitly; replay checks it label-for-label.
+Each rule is data: a function from the patch labels to the edges it cuts, the
+interior it wires in, its steps and the part of the interior the final graph
+keeps. `make_replacement` is the one assembler of H, the final graph and the
+certificate.
+
+The builtins transcribe the fixed reduction sequences for the small grid
+families, one table read by one builder, plus three parameterized sequences;
+`tests/data/certificates.json` pins every one of them. Certificates store
+their expected final graph explicitly; replay checks it label-for-label.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .graphs import (
@@ -31,7 +37,6 @@ from .graphs import (
     cylinder,
     four_row_minus_corners,
     grid,
-    grid_label,
     hex_cylinder,
     make_graph,
     moebius,
@@ -108,322 +113,258 @@ def validate_patch(g: Graph, patch: MarkedPatch) -> None:
                 raise PatchError(f"host has an extra induced edge {a}-{b}")
 
 
-def _fresh_labels(g: Graph, names: list[str]) -> list[str]:
-    taken = set(g.vertex_set)
-    out = []
-    for name in names:
-        if name in taken or name in out:
-            raise PatchError(f"interior label {name!r} collides with the host")
-        out.append(name)
-    return out
+def _path(*labels: str) -> tuple[tuple[str, str], ...]:
+    """The edges of the path through the labels; a cycle repeats its first."""
+    return tuple(zip(labels, labels[1:]))
+
+
+def _edge_set(pairs) -> frozenset[tuple[str, str]]:
+    return frozenset(sorted_pair(a, b) for a, b in pairs)
+
+
+def _steps(*triples) -> tuple[OpStep, ...]:
+    return tuple(OpStep(kind, target, witness) for kind, target, witness in triples)
+
+
+@dataclass(frozen=True)
+class _Replacement:
+    """One rule's edit of a patch: the host edges it cuts, the interior
+    vertices it adds and the edges wiring them in, the steps reducing H back
+    to the host, and the interior vertices and detached edges the final graph
+    keeps beside the host."""
+
+    name: str
+    cut: tuple[tuple[str, str], ...]
+    interior: tuple[str, ...]
+    wiring: tuple[tuple[str, str], ...]
+    steps: tuple[tuple, ...]
+    kept: tuple[str, ...]
+    detached: tuple[tuple[str, str], ...]
+    note: str
+
+
+def _thm1(u: str, v: str) -> _Replacement:
+    return _Replacement(
+        "thm1-replacement",
+        cut=((u, v),),
+        interior=("x", "y", "z"),
+        wiring=_path(u, "x", "y", "z", v),
+        steps=(
+            (ADD_EDGE, (u, v), "y"),
+            (DEL_EDGE, (u, "x"), "z"),
+            (DEL_VERTEX, "z", "x"),
+        ),
+        kept=("x", "y"),
+        detached=(("x", "y"),),
+        note="edge-to-path replacement reduced back to the host plus a detached edge",
+    )
+
+
+def _thm2(a: str, abar: str, b: str, bbar: str) -> _Replacement:
+    return _Replacement(
+        "thm2-replacement",
+        cut=((a, b), (abar, bbar)),
+        interior=("x1", "x1b", "x2", "x2b"),
+        wiring=(
+            # the two interior rungs, and the two rows crossing between them
+            ("x1", "x1b"), ("x2", "x2b"),
+            *_path(a, "x1", "x2b", bbar), *_path(abar, "x1b", "x2", b),
+        ),
+        steps=(
+            (ADD_EDGE, (a, b), "x2b"),
+            (ADD_EDGE, (abar, bbar), "x2"),
+            (DEL_EDGE, (a, "x1"), "x2"),
+            (DEL_EDGE, (abar, "x1b"), "x2b"),
+            (DEL_VERTEX, "x2b", "x1b"),
+            (DEL_VERTEX, "x2", "x1"),
+        ),
+        kept=("x1", "x1b"),
+        detached=(("x1", "x1b"),),
+        note="2-row patch replacement reduced back to the host plus a detached edge",
+    )
+
+
+def _thm3(a1: str, a2: str, a3: str, b1: str, b2: str, b3: str) -> _Replacement:
+    # interior vertex c<k>r<r> sits in interior column k, row r
+    return _Replacement(
+        "thm3-replacement",
+        cut=((a1, b1), (a2, b2), (a3, b3)),
+        interior=tuple(f"c{k}r{r}" for k in range(1, 5) for r in range(1, 4)),
+        wiring=(
+            *_path("c1r1", "c1r2", "c1r3"), *_path("c2r1", "c2r2", "c2r3"),
+            *_path("c3r1", "c3r2", "c3r3"), *_path("c4r1", "c4r2", "c4r3"),
+            # the middle row runs straight through; the outer rows cross over
+            # between interior columns 2 and 3
+            *_path(a2, "c1r2", "c2r2", "c3r2", "c4r2", b2),
+            *_path(a1, "c1r1", "c2r1", "c3r3", "c4r3", b3),
+            *_path(a3, "c1r3", "c2r3", "c3r1", "c4r1", b1),
+        ),
+        steps=(
+            # stage 1: restore the three host horizontals
+            (ADD_EDGE, (a2, "c3r1"), "c1r3"),
+            (ADD_EDGE, (a2, b2), "c4r1"),
+            (DEL_EDGE, (a2, "c3r1"), "c1r3"),
+            (ADD_EDGE, (a1, "c2r3"), "c1r2"),
+            (ADD_EDGE, (a1, "c3r2"), "c2r1"),
+            (ADD_EDGE, (a1, b1), "c3r1"),
+            (DEL_EDGE, (a1, "c3r2"), "c2r1"),
+            (DEL_EDGE, (a1, "c2r3"), "c1r2"),
+            (ADD_EDGE, (a3, "c2r1"), "c1r2"),
+            (ADD_EDGE, (a3, "c3r2"), "c2r3"),
+            (ADD_EDGE, (a3, b3), "c3r3"),
+            (DEL_EDGE, (a3, "c3r2"), "c2r3"),
+            (DEL_EDGE, (a3, "c2r1"), "c1r2"),
+            # stage 2: detach the first interior column from the host
+            (ADD_EDGE, ("c1r1", "c3r1"), "c2r2"),
+            (ADD_EDGE, ("c1r1", "c4r2"), "c3r3"),
+            (DEL_EDGE, (a1, "c1r1"), "c4r1"),
+            (DEL_EDGE, ("c1r1", "c3r1"), "c2r2"),
+            (ADD_EDGE, ("c1r3", "c3r3"), "c2r2"),
+            (ADD_EDGE, ("c1r3", "c4r2"), "c3r1"),
+            (DEL_EDGE, (a3, "c1r3"), "c4r3"),
+            (DEL_EDGE, ("c1r3", "c3r3"), "c2r2"),
+            (ADD_EDGE, ("c1r2", "c4r1"), "c2r3"),
+            (ADD_EDGE, ("c1r2", "c3r2"), "c2r1"),
+            (ADD_EDGE, ("c1r2", "c4r3"), "c2r1"),
+            (DEL_EDGE, (a2, "c1r2"), "c4r2"),
+            # stage 3: remove the last interior column
+            (DEL_EDGE, ("c1r2", "c3r2"), "c2r1"),
+            (ADD_EDGE, ("c2r2", "c4r2"), "c3r3"),
+            (DEL_VERTEX, "c4r2", "c1r2"),
+            (ADD_EDGE, ("c2r3", "c4r3"), "c3r2"),
+            (DEL_VERTEX, "c4r3", "c1r3"),
+            (ADD_EDGE, ("c2r1", "c4r1"), "c3r2"),
+            (DEL_VERTEX, "c4r1", "c1r1"),
+            # stage 4: the middle of the second interior column goes last
+            (DEL_VERTEX, "c2r2", "c1r1"),
+        ),
+        kept=("c1r1", "c1r2", "c1r3", "c2r1", "c2r3", "c3r1", "c3r2", "c3r3"),
+        detached=_path("c1r2", "c1r1", "c2r1", "c3r3", "c3r2", "c3r1", "c2r3", "c1r3", "c1r2"),
+        note="3-row patch replacement reduced back to the host plus a detached 8-cycle",
+    )
+
+
+_RULES = {PATCH_EDGE: _thm1, PATCH_P22: _thm2, PATCH_P32: _thm3}
 
 
 def make_replacement(g: Graph, patch: MarkedPatch) -> tuple[Graph, Certificate]:
     """Build the enlarged graph H for the patch's rule, plus the certificate
     reducing H back to g with a detached factor."""
     validate_patch(g, patch)
-    if patch.role == PATCH_EDGE:
-        return _replace_edge(g, patch)
-    if patch.role == PATCH_P22:
-        return _replace_p22(g, patch)
-    return _replace_p32(g, patch)
-
-
-def _replace_edge(g: Graph, patch: MarkedPatch) -> tuple[Graph, Certificate]:
-    u, v = patch.labels
-    x, y, z = _fresh_labels(g, ["x", "y", "z"])
-    h = g.delete_edge(u, v)
-    h = Graph(
-        h.vertices + (x, y, z),
-        h.edges | {sorted_pair(u, x), sorted_pair(x, y), sorted_pair(y, z), sorted_pair(z, v)},
-        h.loops,
-    )
-    steps = (
-        OpStep(ADD_EDGE, (u, v), y),
-        OpStep(DEL_EDGE, (u, x), z),
-        OpStep(DEL_VERTEX, z, x),
-    )
-    final = Graph(g.vertices + (x, y), g.edges | {sorted_pair(x, y)}, g.loops)
-    cert = Certificate(
-        "thm1-replacement", h, steps, final,
-        note="edge-to-path replacement reduced back to the host plus a detached edge",
-    )
-    return h, cert
-
-
-def _replace_p22(g: Graph, patch: MarkedPatch) -> tuple[Graph, Certificate]:
-    a, abar, b, bbar = patch.labels
-    x1, x1b, x2, x2b = _fresh_labels(g, ["x1", "x1b", "x2", "x2b"])
-    h = g.delete_edge(a, b).delete_edge(abar, bbar)
-    new_edges = {
-        sorted_pair(x1, x1b), sorted_pair(x2, x2b),
-        sorted_pair(a, x1), sorted_pair(x1, x2b), sorted_pair(x2b, bbar),
-        sorted_pair(abar, x1b), sorted_pair(x1b, x2), sorted_pair(x2, b),
-    }
-    h = Graph(h.vertices + (x1, x1b, x2, x2b), h.edges | new_edges, h.loops)
-    steps = (
-        OpStep(ADD_EDGE, (a, b), x2b),
-        OpStep(ADD_EDGE, (abar, bbar), x2),
-        OpStep(DEL_EDGE, (a, x1), x2),
-        OpStep(DEL_EDGE, (abar, x1b), x2b),
-        OpStep(DEL_VERTEX, x2b, x1b),
-        OpStep(DEL_VERTEX, x2, x1),
-    )
-    final = Graph(g.vertices + (x1, x1b), g.edges | {sorted_pair(x1, x1b)}, g.loops)
-    cert = Certificate(
-        "thm2-replacement", h, steps, final,
-        note="2-row patch replacement reduced back to the host plus a detached edge",
-    )
-    return h, cert
-
-
-def _replace_p32(g: Graph, patch: MarkedPatch) -> tuple[Graph, Certificate]:
-    a1, a2, a3, b1, b2, b3 = patch.labels
-    names = [f"c{k}r{r}" for k in range(1, 5) for r in range(1, 4)]
-    _fresh_labels(g, names)
-    c = {(k, r): f"c{k}r{r}" for k in range(1, 5) for r in range(1, 4)}
-    h = g.delete_edge(a1, b1).delete_edge(a2, b2).delete_edge(a3, b3)
-    new_edges = set()
-    for k in range(1, 5):
-        new_edges.add(sorted_pair(c[k, 1], c[k, 2]))
-        new_edges.add(sorted_pair(c[k, 2], c[k, 3]))
-    # middle row runs straight through; outer rows break between columns 2
-    # and 3 and cross over
-    chain2 = [a2, c[1, 2], c[2, 2], c[3, 2], c[4, 2], b2]
-    for s, t in zip(chain2, chain2[1:]):
-        new_edges.add(sorted_pair(s, t))
-    for r, ar, br in ((1, a1, b1), (3, a3, b3)):
-        new_edges.add(sorted_pair(ar, c[1, r]))
-        new_edges.add(sorted_pair(c[1, r], c[2, r]))
-        new_edges.add(sorted_pair(c[3, r], c[4, r]))
-        new_edges.add(sorted_pair(c[4, r], br))
-    new_edges.add(sorted_pair(c[2, 1], c[3, 3]))
-    new_edges.add(sorted_pair(c[2, 3], c[3, 1]))
-    h = Graph(h.vertices + tuple(names), h.edges | new_edges, h.loops)
-
-    A = {1: a1, 2: a2, 3: a3}
-    B = {1: b1, 2: b2, 3: b3}
-    steps = (
-        # stage 1: restore the three host horizontals
-        OpStep(ADD_EDGE, (A[2], c[3, 1]), c[1, 3]),
-        OpStep(ADD_EDGE, (A[2], B[2]), c[4, 1]),
-        OpStep(DEL_EDGE, (A[2], c[3, 1]), c[1, 3]),
-        OpStep(ADD_EDGE, (A[1], c[2, 3]), c[1, 2]),
-        OpStep(ADD_EDGE, (A[1], c[3, 2]), c[2, 1]),
-        OpStep(ADD_EDGE, (A[1], B[1]), c[3, 1]),
-        OpStep(DEL_EDGE, (A[1], c[3, 2]), c[2, 1]),
-        OpStep(DEL_EDGE, (A[1], c[2, 3]), c[1, 2]),
-        OpStep(ADD_EDGE, (A[3], c[2, 1]), c[1, 2]),
-        OpStep(ADD_EDGE, (A[3], c[3, 2]), c[2, 3]),
-        OpStep(ADD_EDGE, (A[3], B[3]), c[3, 3]),
-        OpStep(DEL_EDGE, (A[3], c[3, 2]), c[2, 3]),
-        OpStep(DEL_EDGE, (A[3], c[2, 1]), c[1, 2]),
-        # stage 2: detach the first interior column from the host
-        OpStep(ADD_EDGE, (c[1, 1], c[3, 1]), c[2, 2]),
-        OpStep(ADD_EDGE, (c[1, 1], c[4, 2]), c[3, 3]),
-        OpStep(DEL_EDGE, (A[1], c[1, 1]), c[4, 1]),
-        OpStep(DEL_EDGE, (c[1, 1], c[3, 1]), c[2, 2]),
-        OpStep(ADD_EDGE, (c[1, 3], c[3, 3]), c[2, 2]),
-        OpStep(ADD_EDGE, (c[1, 3], c[4, 2]), c[3, 1]),
-        OpStep(DEL_EDGE, (A[3], c[1, 3]), c[4, 3]),
-        OpStep(DEL_EDGE, (c[1, 3], c[3, 3]), c[2, 2]),
-        OpStep(ADD_EDGE, (c[1, 2], c[4, 1]), c[2, 3]),
-        OpStep(ADD_EDGE, (c[1, 2], c[3, 2]), c[2, 1]),
-        OpStep(ADD_EDGE, (c[1, 2], c[4, 3]), c[2, 1]),
-        OpStep(DEL_EDGE, (A[2], c[1, 2]), c[4, 2]),
-        # stage 3: remove the last interior column
-        OpStep(DEL_EDGE, (c[1, 2], c[3, 2]), c[2, 1]),
-        OpStep(ADD_EDGE, (c[2, 2], c[4, 2]), c[3, 3]),
-        OpStep(DEL_VERTEX, c[4, 2], c[1, 2]),
-        OpStep(ADD_EDGE, (c[2, 3], c[4, 3]), c[3, 2]),
-        OpStep(DEL_VERTEX, c[4, 3], c[1, 3]),
-        OpStep(ADD_EDGE, (c[2, 1], c[4, 1]), c[3, 2]),
-        OpStep(DEL_VERTEX, c[4, 1], c[1, 1]),
-        # stage 4: the middle of the second interior column goes last
-        OpStep(DEL_VERTEX, c[2, 2], c[1, 1]),
-    )
-
-    cycle = [c[1, 2], c[1, 1], c[2, 1], c[3, 3], c[3, 2], c[3, 1], c[2, 3], c[1, 3]]
-    cycle_edges = {
-        sorted_pair(s, t) for s, t in zip(cycle, cycle[1:] + cycle[:1])
-    }
-    survivors = tuple(v for v in names if v not in (c[2, 2], c[4, 1], c[4, 2], c[4, 3]))
-    final = Graph(g.vertices + survivors, g.edges | cycle_edges, g.loops)
-    cert = Certificate(
-        "thm3-replacement", h, steps, final,
-        note="3-row patch replacement reduced back to the host plus a detached 8-cycle",
-    )
-    return h, cert
+    rule = _RULES[patch.role](*patch.labels)
+    for name in rule.interior:
+        if name in g.vertex_set:
+            raise PatchError(f"interior label {name!r} collides with the host")
+    # every cut edge is a required patch edge, so validate_patch found it
+    edges = (g.edges - _edge_set(rule.cut)) | _edge_set(rule.wiring)
+    h = Graph(g.vertices + rule.interior, edges, g.loops)
+    final = Graph(g.vertices + rule.kept, g.edges | _edge_set(rule.detached), g.loops)
+    return h, Certificate(rule.name, h, _steps(*rule.steps), final, note=rule.note)
 
 
 # ---------------------------------------------------------------------------
 # Builtin certificate library
 
 
-def _gl(r, cidx):
-    return grid_label(r, cidx)
+# The fixed reductions of small family members, each as (initial family,
+# note, final vertices, final edges, *steps). The final graph is written out,
+# not derived from the steps, so that replay's label-for-label check of it
+# stays independent of them.
+_REDUCTIONS = {
+    "p42": (
+        FamilySpec("P", 4, 2), "4x2 grid down to the two outer-row edges (a 1-sphere complex)",
+        ("r1c1", "r1c2", "r4c1", "r4c2"), (("r1c1", "r1c2"), ("r4c1", "r4c2")),
+        (DEL_VERTEX, "r2c1", "r1c2"),
+        (DEL_VERTEX, "r2c2", "r1c1"),
+        (DEL_VERTEX, "r3c1", "r4c2"),
+        (DEL_VERTEX, "r3c2", "r4c1"),
+    ),
+    "c32": (
+        FamilySpec("C", 3, 2), "3-row width-2 cylinder down to two detached edges",
+        ("r1c1", "r1c2", "r3c1", "r3c2"), (("r1c1", "r1c2"), ("r3c1", "r3c2")),
+        (DEL_VERTEX, "r2c1", "r1c2"),
+        (DEL_VERTEX, "r2c2", "r1c1"),
+    ),
+    "m32": (
+        FamilySpec("M", 3, 2), "3-row width-2 Moebius strip down to one edge (a 0-sphere complex)",
+        ("r1c1", "r1c2"), (("r1c1", "r1c2"),),
+        (DEL_VERTEX, "r3c1", "r1c1"),
+        (DEL_VERTEX, "r3c2", "r1c2"),
+        (DEL_VERTEX, "r2c1", "r1c2"),
+        (DEL_VERTEX, "r2c2", "r1c1"),
+    ),
+    "c33": (
+        FamilySpec("C", 3, 3), "3x3 cylinder down to two detached edges",
+        ("r1c2", "r1c3", "r3c1", "r3c2"), (("r1c2", "r1c3"), ("r3c1", "r3c2")),
+        (ADD_EDGE, ("r1c1", "r3c2"), "r2c3"),
+        (ADD_EDGE, ("r1c1", "r3c3"), "r2c2"),
+        (DEL_VERTEX, "r1c1", "r3c1"),
+        (DEL_VERTEX, "r2c2", "r1c3"),
+        (DEL_VERTEX, "r2c3", "r1c2"),
+        (DEL_VERTEX, "r3c3", "r2c1"),
+        (DEL_VERTEX, "r2c1", "r3c2"),
+    ),
+    "c34": (
+        FamilySpec("C", 3, 4), "3x4 cylinder down to the 2x4 cylinder plus a detached edge",
+        ("r1c2", "r1c3", "r2c1", "r2c2", "r2c3", "r2c4", "r3c1", "r3c2", "r3c3", "r3c4"),
+        (
+            ("r1c2", "r1c3"),
+            *_path("r2c1", "r2c2", "r2c3", "r2c4", "r2c1"),
+            *_path("r3c1", "r3c2", "r3c3", "r3c4", "r3c1"),
+            ("r2c1", "r3c1"), ("r2c2", "r3c2"), ("r2c3", "r3c3"), ("r2c4", "r3c4"),
+        ),
+        (ADD_EDGE, ("r1c1", "r3c3"), "r2c2"),
+        (DEL_EDGE, ("r1c1", "r2c1"), "r3c2"),
+        (DEL_EDGE, ("r1c3", "r2c3"), "r1c1"),
+        (ADD_EDGE, ("r2c2", "r2c4"), "r1c3"),
+        (DEL_EDGE, ("r1c2", "r2c2"), "r1c4"),
+        (DEL_VERTEX, "r1c4", "r1c2"),
+        (DEL_VERTEX, "r1c1", "r1c3"),
+        (DEL_EDGE, ("r2c2", "r2c4"), "r3c3"),
+    ),
+    "m33": (
+        FamilySpec("M", 3, 3), "3x3 Moebius strip down to the 8-cycle around its centre",
+        ("r1c1", "r1c2", "r1c3", "r2c1", "r2c3", "r3c1", "r3c2", "r3c3"),
+        _path("r1c1", "r1c2", "r1c3", "r2c3", "r3c3", "r3c2", "r3c1", "r2c1", "r1c1"),
+        (DEL_EDGE, ("r1c1", "r3c3"), "r2c2"),
+        (DEL_EDGE, ("r3c1", "r1c3"), "r2c2"),
+        (DEL_EDGE, ("r2c1", "r2c3"), "r1c2"),
+        (DEL_VERTEX, "r2c2", "r1c1"),
+    ),
+    "m34": (
+        FamilySpec("M", 3, 4),
+        "3x4 Moebius strip down to a dense 8-vertex graph plus a detached edge",
+        ("r1c1", "r1c2", "r1c3", "r1c4", "r2c1", "r2c2", "r2c3", "r2c4", "r3c1", "r3c2"),
+        (
+            ("r1c1", "r1c2"), ("r1c3", "r1c4"), ("r3c1", "r3c2"),
+            # row 2 is a complete graph, and each row 1 vertex sees two of it
+            ("r2c1", "r2c2"), ("r2c2", "r2c3"), ("r2c3", "r2c4"),
+            ("r2c1", "r2c4"), ("r2c1", "r2c3"), ("r2c2", "r2c4"),
+            ("r1c1", "r2c1"), ("r1c2", "r2c2"), ("r1c3", "r2c3"), ("r1c4", "r2c4"),
+            ("r1c1", "r2c2"), ("r1c2", "r2c1"), ("r1c3", "r2c4"), ("r1c4", "r2c3"),
+        ),
+        (ADD_EDGE, ("r2c1", "r2c3"), "r1c2"),
+        (ADD_EDGE, ("r2c2", "r2c4"), "r1c3"),
+        (ADD_EDGE, ("r1c1", "r2c2"), "r3c3"),
+        (ADD_EDGE, ("r2c1", "r1c2"), "r1c4"),
+        (ADD_EDGE, ("r1c3", "r2c4"), "r1c1"),
+        (ADD_EDGE, ("r2c3", "r1c4"), "r3c2"),
+        (DEL_EDGE, ("r2c1", "r3c1"), "r1c3"),
+        (DEL_EDGE, ("r2c2", "r3c2"), "r3c4"),
+        (DEL_EDGE, ("r2c3", "r3c3"), "r3c1"),
+        (ADD_EDGE, ("r1c4", "r3c4"), "r3c2"),
+        (DEL_EDGE, ("r3c1", "r1c4"), "r3c3"),
+        (DEL_VERTEX, "r3c3", "r3c1"),
+        (DEL_EDGE, ("r1c2", "r1c3"), "r3c4"),
+        (ADD_EDGE, ("r2c3", "r3c4"), "r1c2"),
+        (DEL_VERTEX, "r3c4", "r1c3"),
+    ),
+}
 
 
-def _steps(*triples) -> tuple[OpStep, ...]:
-    out = []
-    for kind, target, witness in triples:
-        out.append(OpStep(kind, target, witness))
-    return tuple(out)
-
-
-def _cert_p42() -> Certificate:
-    steps = _steps(
-        (DEL_VERTEX, _gl(2, 1), _gl(1, 2)),
-        (DEL_VERTEX, _gl(2, 2), _gl(1, 1)),
-        (DEL_VERTEX, _gl(3, 1), _gl(4, 2)),
-        (DEL_VERTEX, _gl(3, 2), _gl(4, 1)),
-    )
-    final = make_graph(
-        [_gl(1, 1), _gl(1, 2), _gl(4, 1), _gl(4, 2)],
-        [(_gl(1, 1), _gl(1, 2)), (_gl(4, 1), _gl(4, 2))],
-    )
-    return Certificate(
-        "p42", FamilySpec("P", 4, 2), steps, final,
-        note="4x2 grid down to the two outer-row edges (a 1-sphere complex)",
-    )
-
-
-def _cert_c32() -> Certificate:
-    steps = _steps(
-        (DEL_VERTEX, _gl(2, 1), _gl(1, 2)),
-        (DEL_VERTEX, _gl(2, 2), _gl(1, 1)),
-    )
-    final = make_graph(
-        [_gl(1, 1), _gl(1, 2), _gl(3, 1), _gl(3, 2)],
-        [(_gl(1, 1), _gl(1, 2)), (_gl(3, 1), _gl(3, 2))],
-    )
-    return Certificate(
-        "c32", FamilySpec("C", 3, 2), steps, final,
-        note="3-row width-2 cylinder down to two detached edges",
-    )
-
-
-def _cert_m32() -> Certificate:
-    steps = _steps(
-        (DEL_VERTEX, _gl(3, 1), _gl(1, 1)),
-        (DEL_VERTEX, _gl(3, 2), _gl(1, 2)),
-        (DEL_VERTEX, _gl(2, 1), _gl(1, 2)),
-        (DEL_VERTEX, _gl(2, 2), _gl(1, 1)),
-    )
-    final = make_graph(
-        [_gl(1, 1), _gl(1, 2)],
-        [(_gl(1, 1), _gl(1, 2))],
-    )
-    return Certificate(
-        "m32", FamilySpec("M", 3, 2), steps, final,
-        note="3-row width-2 Moebius strip down to one edge (a 0-sphere complex)",
-    )
-
-
-def _cert_c33() -> Certificate:
-    steps = _steps(
-        (ADD_EDGE, (_gl(1, 1), _gl(3, 2)), _gl(2, 3)),
-        (ADD_EDGE, (_gl(1, 1), _gl(3, 3)), _gl(2, 2)),
-        (DEL_VERTEX, _gl(1, 1), _gl(3, 1)),
-        (DEL_VERTEX, _gl(2, 2), _gl(1, 3)),
-        (DEL_VERTEX, _gl(2, 3), _gl(1, 2)),
-        (DEL_VERTEX, _gl(3, 3), _gl(2, 1)),
-        (DEL_VERTEX, _gl(2, 1), _gl(3, 2)),
-    )
-    final = make_graph(
-        [_gl(1, 2), _gl(1, 3), _gl(3, 1), _gl(3, 2)],
-        [(_gl(1, 2), _gl(1, 3)), (_gl(3, 1), _gl(3, 2))],
-    )
-    return Certificate(
-        "c33", FamilySpec("C", 3, 3), steps, final,
-        note="3x3 cylinder down to two detached edges",
-    )
-
-
-def _cert_c34() -> Certificate:
-    steps = _steps(
-        (ADD_EDGE, (_gl(1, 1), _gl(3, 3)), _gl(2, 2)),
-        (DEL_EDGE, (_gl(1, 1), _gl(2, 1)), _gl(3, 2)),
-        (DEL_EDGE, (_gl(1, 3), _gl(2, 3)), _gl(1, 1)),
-        (ADD_EDGE, (_gl(2, 2), _gl(2, 4)), _gl(1, 3)),
-        (DEL_EDGE, (_gl(1, 2), _gl(2, 2)), _gl(1, 4)),
-        (DEL_VERTEX, _gl(1, 4), _gl(1, 2)),
-        (DEL_VERTEX, _gl(1, 1), _gl(1, 3)),
-        (DEL_EDGE, (_gl(2, 2), _gl(2, 4)), _gl(3, 3)),
-    )
-    vs = [_gl(1, 2), _gl(1, 3)]
-    es = [(_gl(1, 2), _gl(1, 3))]
-    for r in (2, 3):
-        for j in range(1, 5):
-            vs.append(_gl(r, j))
-        for j in range(1, 4):
-            es.append((_gl(r, j), _gl(r, j + 1)))
-        es.append((_gl(r, 1), _gl(r, 4)))
-    for j in range(1, 5):
-        es.append((_gl(2, j), _gl(3, j)))
-    final = make_graph(vs, es)
-    return Certificate(
-        "c34", FamilySpec("C", 3, 4), steps, final,
-        note="3x4 cylinder down to the 2x4 cylinder plus a detached edge",
-    )
-
-
-def _cert_m33() -> Certificate:
-    steps = _steps(
-        (DEL_EDGE, (_gl(1, 1), _gl(3, 3)), _gl(2, 2)),
-        (DEL_EDGE, (_gl(3, 1), _gl(1, 3)), _gl(2, 2)),
-        (DEL_EDGE, (_gl(2, 1), _gl(2, 3)), _gl(1, 2)),
-        (DEL_VERTEX, _gl(2, 2), _gl(1, 1)),
-    )
-    vs = [_gl(r, j) for r in (1, 2, 3) for j in (1, 2, 3) if (r, j) != (2, 2)]
-    es = [
-        (_gl(1, 1), _gl(1, 2)), (_gl(1, 2), _gl(1, 3)),
-        (_gl(3, 1), _gl(3, 2)), (_gl(3, 2), _gl(3, 3)),
-        (_gl(1, 1), _gl(2, 1)), (_gl(2, 1), _gl(3, 1)),
-        (_gl(1, 3), _gl(2, 3)), (_gl(2, 3), _gl(3, 3)),
-    ]
-    final = make_graph(vs, es)
-    return Certificate(
-        "m33", FamilySpec("M", 3, 3), steps, final,
-        note="3x3 Moebius strip down to the 8-cycle around its centre",
-    )
-
-
-def _cert_m34() -> Certificate:
-    steps = _steps(
-        (ADD_EDGE, (_gl(2, 1), _gl(2, 3)), _gl(1, 2)),
-        (ADD_EDGE, (_gl(2, 2), _gl(2, 4)), _gl(1, 3)),
-        (ADD_EDGE, (_gl(1, 1), _gl(2, 2)), _gl(3, 3)),
-        (ADD_EDGE, (_gl(2, 1), _gl(1, 2)), _gl(1, 4)),
-        (ADD_EDGE, (_gl(1, 3), _gl(2, 4)), _gl(1, 1)),
-        (ADD_EDGE, (_gl(2, 3), _gl(1, 4)), _gl(3, 2)),
-        (DEL_EDGE, (_gl(2, 1), _gl(3, 1)), _gl(1, 3)),
-        (DEL_EDGE, (_gl(2, 2), _gl(3, 2)), _gl(3, 4)),
-        (DEL_EDGE, (_gl(2, 3), _gl(3, 3)), _gl(3, 1)),
-        (ADD_EDGE, (_gl(1, 4), _gl(3, 4)), _gl(3, 2)),
-        (DEL_EDGE, (_gl(3, 1), _gl(1, 4)), _gl(3, 3)),
-        (DEL_VERTEX, _gl(3, 3), _gl(3, 1)),
-        (DEL_EDGE, (_gl(1, 2), _gl(1, 3)), _gl(3, 4)),
-        (ADD_EDGE, (_gl(2, 3), _gl(3, 4)), _gl(1, 2)),
-        (DEL_VERTEX, _gl(3, 4), _gl(1, 3)),
-    )
-    vs = [_gl(r, j) for r in (1, 2) for j in range(1, 5)] + [_gl(3, 1), _gl(3, 2)]
-    es = [
-        (_gl(1, 1), _gl(1, 2)), (_gl(1, 3), _gl(1, 4)),
-        (_gl(2, 1), _gl(2, 2)), (_gl(2, 2), _gl(2, 3)),
-        (_gl(2, 3), _gl(2, 4)), (_gl(2, 1), _gl(2, 4)),
-        (_gl(2, 1), _gl(2, 3)), (_gl(2, 2), _gl(2, 4)),
-        (_gl(1, 1), _gl(2, 1)), (_gl(1, 2), _gl(2, 2)),
-        (_gl(1, 3), _gl(2, 3)), (_gl(1, 4), _gl(2, 4)),
-        (_gl(1, 1), _gl(2, 2)), (_gl(1, 2), _gl(2, 1)),
-        (_gl(1, 3), _gl(2, 4)), (_gl(1, 4), _gl(2, 3)),
-        (_gl(3, 1), _gl(3, 2)),
-    ]
-    final = make_graph(vs, es)
-    return Certificate(
-        "m34", FamilySpec("M", 3, 4), steps, final,
-        note="3x4 Moebius strip down to a dense 8-vertex graph plus a detached edge",
-    )
+def _fixed_certificate(cert_id: str) -> Certificate:
+    initial, note, vertices, edges, *steps = _REDUCTIONS[cert_id]
+    return Certificate(cert_id, initial, _steps(*steps), make_graph(vertices, edges), note=note)
 
 
 def _cert_ch1(n: int) -> Certificate:
@@ -431,11 +372,11 @@ def _cert_ch1(n: int) -> Certificate:
         raise GraphError("ch1 takes n >= 1")
     w = 2 * n + 2
     steps = _steps(
-        (ADD_EDGE, (_gl(1, w), _gl(2, 3)), _gl(1, 2)),
-        (ADD_EDGE, (_gl(1, w), _gl(2, w)), _gl(2, 2)),
-        (DEL_EDGE, (_gl(1, w), _gl(2, 3)), _gl(1, 2)),
+        (ADD_EDGE, (f"r1c{w}", "r2c3"), "r1c2"),
+        (ADD_EDGE, (f"r1c{w}", f"r2c{w}"), "r2c2"),
+        (DEL_EDGE, (f"r1c{w}", "r2c3"), "r1c2"),
     )
-    final = hex_cylinder(1, n + 1).add_edge(_gl(1, w), _gl(2, w))
+    final = hex_cylinder(1, n + 1).add_edge(f"r1c{w}", f"r2c{w}")
     return Certificate(
         f"ch1({n})", FamilySpec("CH", 1, n + 1), steps, final,
         note="hexagonal 2-row cylinder gains the even-column vertical it lacks",
@@ -446,21 +387,21 @@ def _cert_p4n_to_x(n: int) -> Certificate:
     if n < 3:
         raise GraphError("p4n-to-x takes n >= 3")
     steps = _steps(
-        (DEL_VERTEX, _gl(2, 2), _gl(1, 1)),
-        (DEL_VERTEX, _gl(3, 2), _gl(4, 1)),
-        (ADD_EDGE, (_gl(3, 1), _gl(1, 3)), _gl(1, 1)),
-        (DEL_EDGE, (_gl(1, 2), _gl(1, 3)), _gl(2, 1)),
-        (DEL_VERTEX, _gl(2, 1), _gl(1, 2)),
-        (ADD_EDGE, (_gl(1, 3), _gl(4, 3)), _gl(4, 1)),
-        (DEL_EDGE, (_gl(4, 2), _gl(4, 3)), _gl(3, 1)),
-        (DEL_VERTEX, _gl(3, 1), _gl(4, 2)),
+        (DEL_VERTEX, "r2c2", "r1c1"),
+        (DEL_VERTEX, "r3c2", "r4c1"),
+        (ADD_EDGE, ("r3c1", "r1c3"), "r1c1"),
+        (DEL_EDGE, ("r1c2", "r1c3"), "r2c1"),
+        (DEL_VERTEX, "r2c1", "r1c2"),
+        (ADD_EDGE, ("r1c3", "r4c3"), "r4c1"),
+        (DEL_EDGE, ("r4c2", "r4c3"), "r3c1"),
+        (DEL_VERTEX, "r3c1", "r4c2"),
     )
     final = (
         grid(4, n)
-        .delete_vertices({_gl(2, 1), _gl(3, 1), _gl(2, 2), _gl(3, 2)})
-        .delete_edge(_gl(1, 2), _gl(1, 3))
-        .delete_edge(_gl(4, 2), _gl(4, 3))
-        .add_edge(_gl(1, 3), _gl(4, 3))
+        .delete_vertices({"r2c1", "r3c1", "r2c2", "r3c2"})
+        .delete_edge("r1c2", "r1c3")
+        .delete_edge("r4c2", "r4c3")
+        .add_edge("r1c3", "r4c3")
     )
     return Certificate(
         f"p4n-to-x({n})", FamilySpec("P", 4, n), steps, final,
@@ -472,15 +413,15 @@ def _cert_y_recursion(n: int) -> Certificate:
     if n < 4:
         raise GraphError("y-recursion takes n >= 4")
     steps = _steps(
-        (DEL_VERTEX, _gl(2, 2), _gl(3, 1)),
-        (DEL_VERTEX, _gl(3, 2), _gl(2, 1)),
-        (DEL_VERTEX, _gl(2, 3), _gl(1, 2)),
-        (DEL_VERTEX, _gl(3, 3), _gl(4, 2)),
-        (DEL_VERTEX, _gl(1, 4), _gl(1, 2)),
-        (DEL_VERTEX, _gl(4, 4), _gl(4, 2)),
+        (DEL_VERTEX, "r2c2", "r3c1"),
+        (DEL_VERTEX, "r3c2", "r2c1"),
+        (DEL_VERTEX, "r2c3", "r1c2"),
+        (DEL_VERTEX, "r3c3", "r4c2"),
+        (DEL_VERTEX, "r1c4", "r1c2"),
+        (DEL_VERTEX, "r4c4", "r4c2"),
     )
     final = four_row_minus_corners(n).delete_vertices(
-        {_gl(2, 2), _gl(3, 2), _gl(2, 3), _gl(3, 3), _gl(1, 4), _gl(4, 4)}
+        {"r2c2", "r3c2", "r2c3", "r3c3", "r1c4", "r4c4"}
     )
     return Certificate(
         f"y-recursion({n})", FamilySpec("Y4", None, n), steps, final,
@@ -490,49 +431,28 @@ def _cert_y_recursion(n: int) -> Certificate:
 
 def canonical_thm1_host() -> tuple[Graph, MarkedPatch]:
     g = cylinder(1, 3)
-    return g, MarkedPatch(PATCH_EDGE, (_gl(1, 1), _gl(1, 2)))
+    return g, MarkedPatch(PATCH_EDGE, ("r1c1", "r1c2"))
 
 
 def canonical_thm2_host() -> tuple[Graph, MarkedPatch]:
     g = moebius(2, 3)
-    patch = MarkedPatch(PATCH_P22, (_gl(1, 3), _gl(2, 3), _gl(2, 1), _gl(1, 1)))
-    return g, patch
+    return g, MarkedPatch(PATCH_P22, ("r1c3", "r2c3", "r2c1", "r1c1"))
 
 
 def canonical_thm3_host() -> tuple[Graph, MarkedPatch]:
     g = moebius(3, 4)
-    patch = MarkedPatch(
-        PATCH_P32,
-        (_gl(1, 4), _gl(2, 4), _gl(3, 4), _gl(3, 1), _gl(2, 1), _gl(1, 1)),
-    )
-    return g, patch
+    return g, MarkedPatch(PATCH_P32, ("r1c4", "r2c4", "r3c4", "r3c1", "r2c1", "r1c1"))
 
 
 def _cert_thm_generic(rule: str) -> Certificate:
-    host = {
-        "thm1": canonical_thm1_host,
-        "thm2": canonical_thm2_host,
-        "thm3": canonical_thm3_host,
-    }[rule]
-    g, patch = host()
-    _, cert = make_replacement(g, patch)
-    return Certificate(
-        f"{rule}-generic", cert.initial, cert.steps, cert.expected_final,
-        note=f"{cert.note} (canonical host)",
-    )
+    host = {"thm1": canonical_thm1_host, "thm2": canonical_thm2_host, "thm3": canonical_thm3_host}
+    _, cert = make_replacement(*host[rule]())
+    return replace(cert, name=f"{rule}-generic", note=f"{cert.note} (canonical host)")
 
 
 _STATIC_BUILDERS = {
-    "thm1-generic": partial(_cert_thm_generic, "thm1"),
-    "thm2-generic": partial(_cert_thm_generic, "thm2"),
-    "thm3-generic": partial(_cert_thm_generic, "thm3"),
-    "p42": _cert_p42,
-    "c32": _cert_c32,
-    "m32": _cert_m32,
-    "c33": _cert_c33,
-    "c34": _cert_c34,
-    "m33": _cert_m33,
-    "m34": _cert_m34,
+    **{f"{rule}-generic": partial(_cert_thm_generic, rule) for rule in ROLE_FOR_RULE},
+    **{cert_id: partial(_fixed_certificate, cert_id) for cert_id in _REDUCTIONS},
 }
 
 _PARAMETERIZED_BUILDERS = {

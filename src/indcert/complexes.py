@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .euler import DEFAULT_FACE_BUDGET, independent_set_masks
 from .graphs import Graph, GraphError
-from .moves import ADD_EDGE, DEL_VERTEX, OpStep, apply_step
+from .moves import OpStep, apply_step, step_direction, touched_labels
 
 
 @dataclass(frozen=True)
@@ -86,18 +86,13 @@ def collapse_oracle(
     before = independence_complex(g, budget=budget)
     after = independence_complex(edited, budget=budget)
 
-    if step.kind == DEL_VERTEX:
+    if step_direction(step) == "collapse":
         big, small = before, after
-        doomed_labels = {step.target}
         direction = "I(G) onto I(edited)"
-    elif step.kind == ADD_EDGE:
-        big, small = before, after
-        doomed_labels = set(step.target)
-        direction = "I(G) onto I(edited)"
-    else:  # DEL_EDGE: the edited complex is the larger one
+    else:  # del_edge: the edited complex is the larger one
         big, small = after, before
-        doomed_labels = set(step.target)
         direction = "I(edited) onto I(G)"
+    doomed_labels = touched_labels([step])
 
     idx = {v: i for i, v in enumerate(big.vertices)}
     u_bit = 1 << idx[step.witness]

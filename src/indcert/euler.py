@@ -42,10 +42,10 @@ class FrontierBudgetExceeded(RuntimeError):
 def adjacency_masks(g: Graph) -> tuple[list[str], list[int]]:
     """Vertex order (sorted, loops dropped) and adjacency bitmasks."""
     verts = sorted(v for v in g.vertices if v not in g.loops)
-    return verts, _edge_masks(g, {v: i for i, v in enumerate(verts)}, len(verts))
+    return verts, edge_masks(g, {v: i for i, v in enumerate(verts)}, len(verts))
 
 
-def _edge_masks(g: Graph, index: dict[str, int], size: int) -> list[int]:
+def edge_masks(g: Graph, index: dict[str, int], size: int) -> list[int]:
     """`size` bitmasks of g's edges between the vertices that `index` numbers."""
     adj = [0] * size
     for a, b in g.edges:
@@ -296,7 +296,7 @@ class ReplaySweep:
             raise SweepHintError("a vertex is unlooped here but not in the initial graph")
         pos = {v: index[v] for v in live}
         present = sum(1 << i for i in pos.values())
-        adj = _edge_masks(g, pos, len(adj0))
+        adj = edge_masks(g, pos, len(adj0))
         if present & outside != outside or any(
             adj[i] != adj0[i] for i in range(len(adj)) if outside >> i & 1
         ):

@@ -324,7 +324,16 @@ def graphs_equal_labeled(g: Graph, h: Graph) -> bool:
 # JSON input (graph documents and family references)
 
 
+def check_keys(doc: dict, allowed: tuple[str, ...], kind: str) -> None:
+    """Raise GraphError on a key no writer of a `kind` document emits, so that
+    a misspelt key is an error rather than a silently different input."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise GraphError(f"malformed {kind} document: unknown key {unknown[0]!r}")
+
+
 def family_from_json_dict(doc: dict) -> FamilySpec:
+    check_keys(doc, ("family", "m", "n"), "family")
     fam = doc.get("family")
     if not isinstance(fam, str):
         raise GraphError("family document needs a 'family' string")
@@ -356,6 +365,7 @@ def graph_from_json_dict(doc: dict) -> Graph:
         return generate_family(family_from_json_dict(doc))
     if "vertices" not in doc:
         raise GraphError("malformed graph document: no 'vertices'")
+    check_keys(doc, ("vertices", "edges", "loops"), "graph")
     for key, ok, what in (
         ("vertices", is_label, "non-empty strings"),
         ("edges", is_label_pair, "2-element lists of non-empty strings"),

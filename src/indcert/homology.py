@@ -153,9 +153,11 @@ def betti_profiles(k: SimplicialComplex, primes: tuple[int, ...]) -> dict[int, P
 def check_primes(primes: tuple[int, ...]) -> None:
     if not primes:
         raise GraphError("no prime given")
-    for p in primes:
+    for i, p in enumerate(primes):
         if not is_prime(p):
             raise GraphError(f"{p} is not prime")
+        if p in primes[:i]:
+            raise GraphError(f"{p} is given twice")
 
 
 def graph_betti(

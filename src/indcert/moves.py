@@ -28,6 +28,7 @@ from .graphs import (
     FamilySpec,
     Graph,
     GraphError,
+    check_keys,
     family_from_json_dict,
     generate_family,
     graph_from_json_dict,
@@ -90,6 +91,7 @@ def step_from_json_dict(doc: dict) -> OpStep:
         witness = doc["witness"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed step document: {exc}") from exc
+    check_keys(doc, ("op", "target", "witness"), "step")
     if not (is_label(target) or is_label_pair(target)) or not is_label(witness):
         raise GraphError(
             "malformed step document: the target must be a non-empty string or "
@@ -209,6 +211,7 @@ def certificate_from_json_dict(doc: dict) -> Certificate:
         final = graph_from_json_dict(doc["expected_final"])
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed certificate document: {exc}") from exc
+    check_keys(doc, ("name", "initial", "steps", "expected_final", "note"), "certificate")
     note = doc.get("note", "")
     if not isinstance(name, str) or not isinstance(note, str):
         raise GraphError("malformed certificate document: 'name' and 'note' must be strings")

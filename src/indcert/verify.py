@@ -316,7 +316,7 @@ def _valid_steps(g: Graph) -> list[moves.OpStep]:
     there. The target itself lies in R, so no witness equals it."""
     verts = g.vertices
     pos = {v: i for i, v in enumerate(verts)}
-    nbr = euler._edge_masks(g, pos, len(verts))
+    nbr = euler.edge_masks(g, pos, len(verts))
     closed = [m | 1 << i for i, m in enumerate(nbr)]
     free = sum(1 << i for i, v in enumerate(verts) if v not in g.loops)
 

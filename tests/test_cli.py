@@ -82,6 +82,8 @@ def test_exit_3_on_a_usage_error(tmp_path, capsys, argv):
     ("chi", {"family": "C", "m": 2, "n": True}),
     ("replay", {**certificate(VALID_STEP, BC_EDGE), "name": ["x"]}),
     ("replay", {**certificate(VALID_STEP, BC_EDGE), "note": 7}),
+    ("chi", {"vertices": ["a", "b"], "edge": [["a", "b"]]}),
+    ("replay", {**certificate(VALID_STEP, BC_EDGE), "notes": ""}),
 ])
 def test_exit_3_on_a_malformed_document(tmp_path, capsys, command, doc):
     path = write(tmp_path, "doc.json", doc)

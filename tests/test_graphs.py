@@ -260,6 +260,7 @@ def test_bad_json_rejected():
     '{"vertices":["a","b"],"loops":"a"}',
     '{"vertices":["a","b"],"loops":[""]}',
     '{"edges":[]}',
+    '{"family":"C","m":1,"n":3,"edges":[["x","y"]]}',
 ])
 def test_graph_document_needs_label_lists(doc):
     with pytest.raises(GraphError):

@@ -62,3 +62,48 @@ def test_no_package_module_is_imported_inside_a_function():
         if in_function
     ]
     assert deferred == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source):
+    """(module, name) for each private name that the source takes from a
+    package module, by `from .module import _name` or as `module._name`."""
+    tree = ast.parse(source)
+    modules = {}            # local or dotted name -> the package module it names
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = (node.level == 1 and not node.module) or (
+                node.level == 0 and node.module == "indcert"
+            )
+            for target in [] if package else _targets(node):
+                out.extend((target, a.name) for a in node.names if _is_private(a.name))
+            if package:
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("indcert."):
+                    modules[a.asname or a.name] = a.name.split(".")[1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            owner = ast.unparse(node.value)
+            if owner in modules:
+                out.append((modules[owner], node.attr))
+    return out
+
+
+def test_the_private_name_check_sees_both_forms():
+    source = "from . import euler as e\nfrom .graphs import _identify\nx = e._sweep\n"
+    assert sorted(private_reads(source)) == [("euler", "_sweep"), ("graphs", "_identify")]
+    assert private_reads("import indcert.euler\nindcert.euler._sweep\n") == [("euler", "_sweep")]
+
+
+def test_no_package_module_reads_another_modules_private_name():
+    reads = {
+        name: private_reads(path.read_text(encoding="utf-8"))
+        for name, path in MODULES.items()
+    }
+    assert {name: found for name, found in reads.items() if found} == {}

@@ -199,6 +199,7 @@ def test_certificate_json_round_trip():
     '{"op": "del_vertex", "target": 4, "witness": "r1c2"}',
     '{"op": "del_vertex", "target": "", "witness": "r1c2"}',
     '{"op": "del_vertex", "target": "r1c4", "witness": ["r1c2"]}',
+    '{"op": "del_vertex", "target": "r1c4", "witness": "r1c2", "why": "r1c2 is isolated"}',
 ])
 def test_step_document_needs_label_targets(step):
     text = (

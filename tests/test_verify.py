@@ -161,6 +161,7 @@ def test_parse_config_reads_every_kind_of_value():
     ("c1_max = abc\n", "line 1: c1_max must be an integer, not 'abc'"),
     ("\nprimes = 2, x\n", "line 2: primes must be an integer, not 'x'"),
     ("primes = 2, 4\n", "line 1: primes: 4 is not prime"),
+    ("seed = 2\nprimes = 3, 3, 2\n", "line 2: primes: 3 is given twice"),
     ("seed = 1\nprimes =\n", "line 2: primes: no prime given"),
     ("checks = all\n", "line 1: checks must be chi or betti"),
     ("c1_max = -3\n", "line 1: c1_max must not be negative, not '-3'"),
